@@ -2,8 +2,8 @@
 convergence studies, and the built-in validation suite.
 
 Reports are versioned JSON (schema "boxaffine/1") or plot-ready CSV.  Exit
-codes: 0 success, 2 usage error, 3 cross-method disagreement, 4 solver
-failure.
+codes: 0 success, 2 usage error (including --b or --hbar outside
+SCALE_RANGE), 3 cross-method disagreement, 4 solver failure.
 """
 
 import argparse
@@ -30,6 +30,10 @@ AGREEMENT_THRESHOLD = 1e-5
 MODEL_NAMES = ("cq-box", "aq-box", "half-ho", "anti-box")
 METHODS = ("rayleigh-ritz", "shooting", "both")
 MAX_LEVELS = 12
+# accepted --b and --hbar: inside it hbar^2/b^2 and the float powers of b and
+# hbar that the solvers take stay finite, so none raises OverflowError; a Ritz
+# matrix that still overflows (the aq-box overlap holds b^7) ends in exit 4
+SCALE_RANGE = (1e-50, 1e50)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -232,6 +236,10 @@ def parse_config(argv):
         raise UsageError("--b must be > 0")
     if not (hbar > 0 and math.isfinite(hbar)):
         raise UsageError("--hbar must be > 0")
+    lo, hi = SCALE_RANGE
+    for flag, value in (("--b", b), ("--hbar", hbar)):
+        if not lo <= value <= hi:
+            raise UsageError(f"{flag} must be in [{lo:g}, {hi:g}]")
     if W < 0:
         raise UsageError("--W must be >= 0")
     if not 1 <= levels <= MAX_LEVELS:

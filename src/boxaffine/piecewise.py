@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy import integrate
 
 JUMP_THRESHOLD = 1e-10  # jumps below this are floating-point noise
 QUAD_TOL = 1e-10
@@ -237,6 +236,8 @@ def l2_norm_squared(w, interval=None):
     for term in tuple(w.delta_terms) + tuple(w.delta_prime_terms):
         if lo < term.location < hi:
             return math.inf
+
+    from scipy import integrate  # deferred: ~0.3 s of import that most runs never use
 
     total = 0.0
     for p in smooth.pieces:

@@ -1,9 +1,11 @@
 """Gauss-Legendre rules and orthogonal-polynomial recurrences.
 
-Everything here is plain dense numpy; rules are built once and reused for
-matrix assembly and norm integrals elsewhere in the package.
+Everything here is plain dense numpy.  Gauss-Legendre rules are built once
+per order and cached read-only, so matrix assembly and norm integrals
+elsewhere in the package share them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,17 +120,19 @@ def _legendre_and_derivative(n, t):
     return p, dp
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_legendre(n):
-    """n-point Gauss-Legendre rule on (-1, 1).
+    """n-point Gauss-Legendre rule on (-1, 1), cached per order.
 
     Nodes are Newton-refined roots of P_n starting from Chebyshev angles;
     only one half is computed and mirrored, so the rule is exactly symmetric.
-    Exact for polynomials of degree <= 2n - 1.
+    Exact for polynomials of degree <= 2n - 1.  The returned arrays are
+    shared between callers and therefore read-only.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in [1, {MAX_ORDER}]")
     if n == 1:
-        return QuadratureRule(np.zeros(1), np.full(1, 2.0))
+        return _frozen_rule(np.zeros(1), np.full(1, 2.0))
 
     k = np.arange(1, n // 2 + 1)
     t = np.cos(np.pi * (k - 0.25) / (n + 0.5))  # positive-half guesses, decreasing
@@ -155,4 +159,10 @@ def gauss_legendre(n):
     else:
         nodes = np.concatenate([-pos[::-1], pos])
         weights = np.concatenate([wpos[::-1], wpos])
+    return _frozen_rule(nodes, weights)
+
+
+def _frozen_rule(nodes, weights):
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(nodes, weights)

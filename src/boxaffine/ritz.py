@@ -3,16 +3,16 @@
 Trial functions are chi_k(x) = (b^2 - x^2)^w P_k(x/b): w = 3/2 cancels the
 inverse-square wall potential exactly (every matrix element becomes a
 polynomial integral, so Gauss quadrature is exact), w = 1 handles the flat
-Dirichlet box.  The generalized problem H v = lambda S v is solved by an
-in-repo dense path: Cholesky reduction, cyclic Jacobi sweeps, back-substitution.
+Dirichlet box.  The generalized problem H v = lambda S v is solved by LAPACK
+(scipy.linalg.eigh), with each eigenvalue refined by one Rayleigh quotient.
 """
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+import scipy.linalg
 
 from .boxmodes import BoxGeometry
 from .potentials import AqBox, CqBox, ModelUnsupported, evaluate_potential, kinetic_coefficient
@@ -22,11 +22,11 @@ MAX_BASIS = 64
 
 
 class NotPositiveDefinite(RuntimeError):
-    """Overlap matrix failed Cholesky factorization."""
+    """Overlap matrix is not finite or failed Cholesky factorization."""
 
 
 class NoConvergence(RuntimeError):
-    """Jacobi sweeps exceeded the iteration budget."""
+    """Stiffness matrix is not finite, or the LAPACK eigensolve did not converge."""
 
 
 @dataclass(frozen=True)
@@ -124,98 +124,32 @@ def assemble_matrices(model, basis=None, rule=None):
     return GeneralizedEigProblem(H, S)
 
 
-def _cholesky(S):
-    n = S.shape[0]
-    L = np.zeros_like(S)
-    for j in range(n):
-        d = S[j, j] - L[j, :j] @ L[j, :j]
-        if not (np.isfinite(d) and d > 0):
-            raise NotPositiveDefinite(f"pivot {j} is {d}")
-        L[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            L[j + 1:, j] = (S[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def _forward_solve(L, B):
-    """Solve L X = B for lower-triangular L."""
-    X = np.array(B, dtype=float, copy=True)
-    for i in range(L.shape[0]):
-        X[i] -= L[i, :i] @ X[:i]
-        X[i] /= L[i, i]
-    return X
-
-
-def _back_solve_transpose(L, B):
-    """Solve L^T X = B for lower-triangular L."""
-    X = np.array(B, dtype=float, copy=True)
-    for i in range(L.shape[0] - 1, -1, -1):
-        X[i] -= L[i + 1:, i] @ X[i + 1:]
-        X[i] /= L[i, i]
-    return X
-
-
-def _jacobi_eigh(A, rel_tol=1e-12, max_sweeps=100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Converged when the
-    off-diagonal Frobenius norm drops below rel_tol times the matrix norm.
-    """
-    A = np.array(A, dtype=float, copy=True)
-    n = A.shape[0]
-    V = np.eye(n)
-    fro = np.linalg.norm(A, "fro")
-    if n == 1 or fro == 0.0:
-        return np.diag(A).copy(), V
-
-    def offdiag():
-        return math.sqrt(2.0 * np.sum(np.tril(A, -1) ** 2))
-
-    for _ in range(max_sweeps):
-        if offdiag() <= rel_tol * fro:
-            return np.diag(A).copy(), V
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    if offdiag() <= rel_tol * fro:
-        return np.diag(A).copy(), V
-    raise NoConvergence("Jacobi sweeps exceeded budget")
-
-
-def solve_generalized_symmetric(prob, rel_tol=1e-12, max_sweeps=100):
+def solve_generalized_symmetric(prob):
     """Solve H v = lambda S v; eigenvalues ascending, vectors S-orthonormal.
 
-    Reduction S = L L^T, Jacobi on L^-1 H L^-T, then v = L^-T y.  Eigenvector
-    signs are fixed (largest-magnitude component positive) for determinism.
+    LAPACK dsygvd gives the eigenvectors; each eigenvalue is then replaced by
+    its Rayleigh quotient v^T H v / v^T S v, whose error is quadratic in the
+    eigenvector's.  That restores the relative accuracy the tridiagonal solve
+    loses on the graded, ill-conditioned overlap matrices (cond(S) ~ 5e8 at
+    N = 64), so basis sweeps stay variationally monotone.  Eigenvector signs
+    are fixed (largest-magnitude component positive) for determinism.
     """
-    L = _cholesky(prob.S)
-    Y = _forward_solve(L, prob.H)
-    A = _forward_solve(L, Y.T).T
-    A = 0.5 * (A + A.T)
-    evals, Yvec = _jacobi_eigh(A, rel_tol, max_sweeps)
+    H, S = prob.H, prob.S
+    if not np.all(np.isfinite(S)):
+        raise NotPositiveDefinite("overlap matrix has non-finite entries")
+    if not np.all(np.isfinite(H)):
+        raise NoConvergence("stiffness matrix has non-finite entries")
+    try:
+        _, vecs = scipy.linalg.eigh(H, S, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        if "positive definite" in str(exc):
+            raise NotPositiveDefinite(str(exc)) from exc
+        raise NoConvergence(str(exc)) from exc
+    evals = np.einsum("ij,ij->j", vecs, H @ vecs) / np.einsum("ij,ij->j", vecs, S @ vecs)
     order = np.argsort(evals, kind="stable")
-    evals = evals[order]
-    vecs = _back_solve_transpose(L, Yvec[:, order])
-    for k in range(vecs.shape[1]):
-        lead = np.argmax(np.abs(vecs[:, k]))
-        if vecs[lead, k] < 0:
-            vecs[:, k] = -vecs[:, k]
+    evals, vecs = evals[order], vecs[:, order]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
     return evals, vecs
 
 

@@ -61,6 +61,17 @@ class TestParseConfig:
         assert code == 2
         assert "shooting" in err
 
+    @pytest.mark.parametrize("model,method,flag,value", [
+        ("aq-box", "rayleigh-ritz", "--b", "1e200"), ("cq-box", "rayleigh-ritz", "--b", "1e200"),
+        ("aq-box", "shooting", "--b", "1e200"), ("cq-box", "shooting", "--b", "1e200"),
+        ("aq-box", "both", "--b", "1e-60"), ("cq-box", "both", "--hbar", "1e200"),
+        ("aq-box", "both", "--hbar", "1e-60")])
+    def test_scale_outside_range_is_usage_error(self, capsys, model, method, flag, value):
+        code, _, err = run_cli(capsys, "spectrum", "--model", model, "--method", method,
+                               flag, value, "--levels", "1")
+        assert code == 2
+        assert flag in err and "1e+50" in err
+
     def test_levels_cap(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--levels", "13")
         assert code == 2
@@ -152,6 +163,13 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--model", "cq-box", "--method", "rayleigh-ritz")
         assert code == 4
         assert "NotPositiveDefinite" in err
+
+    def test_overlap_overflow_is_solver_failure(self, capsys):
+        # the (b^2 - x^2)^{3/2} weight puts b^7 into the overlap matrix
+        code, out, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--b", "1e45",
+                                 "--method", "rayleigh-ritz", "--levels", "1")
+        assert code == 4
+        assert "NotPositiveDefinite" in err and out == ""
 
     def test_bracket_failure_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

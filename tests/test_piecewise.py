@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boxaffine
 from boxaffine.boxmodes import BoxGeometry, cq_eigenfunction_extended
 from boxaffine.piecewise import (Piece, PiecewiseSmooth, discrete_second_derivative_norm,
                                  flat_ramp, l2_norm_squared, linear_combination,
@@ -223,3 +228,12 @@ class TestConstruction:
         phi = cq_eigenfunction_extended(2, BoxGeometry(1.0, 1.0))
         assert phi.breakpoints == (-1.0, 1.0)
         assert phi.ambient_interval == (-2.0, 2.0)
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # only l2_norm_squared needs scipy.integrate; it imports it on first use
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    code = "import sys, boxaffine.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

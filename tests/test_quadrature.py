@@ -46,6 +46,13 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(n)
 
+    def test_rules_are_cached_and_read_only(self):
+        rule = gauss_legendre(40)
+        assert gauss_legendre(40) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
     def test_mapped_interval(self):
         rule = gauss_legendre(8)
         assert rule.integrate(lambda x: x * x, 0.0, 3.0) == pytest.approx(9.0, rel=1e-14)

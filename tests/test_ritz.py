@@ -6,8 +6,8 @@ import scipy.linalg
 
 from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import AqBox, CqBox, HalfHarmonic, ModelUnsupported, evaluate_potential
-from boxaffine.ritz import (BasisSpec, GeneralizedEigProblem, NotPositiveDefinite,
-                            assemble_matrices, basis_for, compute_spectrum,
+from boxaffine.ritz import (BasisSpec, GeneralizedEigProblem, NoConvergence,
+                            NotPositiveDefinite, assemble_matrices, basis_for, compute_spectrum,
                             convergence_sweep, matrix_to_csv, solve_generalized_symmetric)
 
 GEOM = BoxGeometry(1.0, 1.0)
@@ -105,6 +105,28 @@ class TestGeneralizedEigensolver:
         with pytest.raises(NotPositiveDefinite):
             solve_generalized_symmetric(bad)
 
+    def test_non_finite_overlap_is_not_positive_definite(self):
+        s = np.eye(3)
+        s[1, 1] = np.nan
+        with pytest.raises(NotPositiveDefinite):
+            solve_generalized_symmetric(GeneralizedEigProblem(np.eye(3), s))
+        s[1, 1] = np.inf
+        with pytest.raises(NotPositiveDefinite):
+            solve_generalized_symmetric(GeneralizedEigProblem(np.eye(3), s))
+
+    def test_non_finite_stiffness_is_no_convergence(self):
+        h = np.eye(3)
+        h[0, 2] = h[2, 0] = np.nan
+        with pytest.raises(NoConvergence):
+            solve_generalized_symmetric(GeneralizedEigProblem(h, np.eye(3)))
+
+    def test_inputs_left_unmodified(self):
+        rng = np.random.default_rng(5)
+        prob = random_problem(rng, 8)
+        h, s = prob.H.copy(), prob.S.copy()
+        solve_generalized_symmetric(prob)
+        assert np.array_equal(prob.H, h) and np.array_equal(prob.S, s)
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         prob = random_problem(rng, 10)
@@ -182,6 +204,19 @@ class TestConvergenceSweep:
     def test_variational_monotonicity(self):
         table = convergence_sweep(AQ, (8, 12, 16, 24, 32, 48), 6)
         assert np.all(np.diff(table.energies, axis=0) <= 1e-12)
+
+    @pytest.mark.parametrize("model_cls", [AqBox, CqBox])
+    @pytest.mark.parametrize("decade", range(-2, 5))
+    def test_relative_monotonicity_across_scales(self, model_cls, decade):
+        # hbar^2/b^2 = 10^decade, with b and hbar both moved off 1.  cond(S)
+        # reaches ~5e8 at N = 64, so an eigensolver accurate only to
+        # eps * |A| lets the low levels rise by up to ~7e-12 relative from one
+        # size to the next; a rounding-level rise is ~2e-14.
+        hbar = 10.0 ** (decade / 4)
+        model = model_cls(BoxGeometry(10.0 ** (-decade / 4), hbar))
+        table = convergence_sweep(model, (12, 16, 24, 32, 48, 64), 12)
+        rise = np.diff(table.energies, axis=0) / table.energies[1:]
+        assert np.max(rise) <= 1e-12
 
     def test_final_change_small(self):
         table = convergence_sweep(AQ, (8, 16, 32, 48), 6)
