@@ -162,7 +162,9 @@ def _build_parser():
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--basis-size", type=int, default=None)
         p.add_argument("--grid-size", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None,
+                       help="shooting search width, in units of hbar^2/b^2 (boxes) "
+                            "or hbar (half-ho); in [1e-10, 1e-2]")
         p.add_argument("--method", choices=METHODS, default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--out", default=None)
@@ -316,14 +318,6 @@ def _base_report(cfg):
     }
 
 
-def _shooting_parity(model, energy, grid):
-    if isinstance(model, HalfHarmonic):
-        return None
-    xs, psi = shooting.wavefunction(model, energy, grid)
-    overlap = float(psi @ psi[::-1])
-    return "even" if overlap >= 0 else "odd"
-
-
 def run_spectrum(cfg):
     """Solve the configured model; returns (report, exit_code)."""
     model = cfg.model()
@@ -348,19 +342,18 @@ def run_spectrum(cfg):
         sh_levels = []
         for k in range(cfg.levels):
             energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid=grid)
-            match = shooting.numerov_integrate(model, energy, grid)
+            shot = shooting.numerov_integrate(model, energy, grid)
             sh_levels.append({
                 "energy": energy,
-                "node_count": match.node_count,
-                "parity": _shooting_parity(model, energy, grid),
+                "node_count": shot.node_count,
+                "parity": shot.parity,
                 "boundary_exponent": shooting.boundary_exponent_probe(model, energy),
             })
             if cfg.dump_psi:
-                xs, psi = shooting.wavefunction(model, energy, grid)
                 path = os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv")
                 with open(path, "w") as fh:
                     fh.write("x,psi\n")
-                    for x, p in zip(xs, psi):
+                    for x, p in zip(shot.xs, shot.psi):
                         fh.write(f"{float(x)!r},{float(p)!r}\n")
         timings["shooting_s"] = time.perf_counter() - t0
 

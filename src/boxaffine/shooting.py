@@ -3,13 +3,16 @@
 Integrates psi'' = (V - E) psi / kappa from both ends with wall-appropriate
 launches (Dirichlet for the flat box, leading-power s^{3/2} starts at
 inverse-square walls), matches at the potential minimum, and locates
-eigenvalues by node-count bracketing plus sign bisection of the matching
-Wronskian -- the pole-free form of the log-derivative mismatch.  Fully
-independent of the variational solver, which it cross-checks.
+eigenvalues by node-count bracketing plus a Brent root of the Pruefer-
+normalised matching Wronskian -- the pole-free form of the log-derivative
+mismatch.  Fully independent of the variational solver, which it
+cross-checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -53,11 +56,20 @@ class ShootingGrid:
         return np.linspace(self.x_min, self.x_max, self.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
+    """One two-sided shot at a trial energy.
+
+    ``psi`` is the assembled solution on ``xs``, max-normalised.  ``parity``
+    is the sign of its mirror overlap, ``None`` on the half line.
+    """
+
     energy: float
     log_derivative_mismatch: float
     node_count: int
+    parity: Optional[str]
+    xs: np.ndarray
+    psi: np.ndarray
 
 
 def energy_scale(model):
@@ -179,12 +191,56 @@ def _numerov_t(model, E, grid, V):
     return (h * h / 12.0) * ((V - E) / kinetic_coefficient(model))
 
 
-def _sweep_left(model, xs, grid, T):
-    """Left-to-right Numerov sweep over the whole grid."""
-    start, i0 = _launch(model, "left", xs - xs[0] + grid.eps)
-    psi = np.zeros(xs.size)
+@dataclass(frozen=True, eq=False)
+class _Setup:
+    """What every shot on one (model, grid) shares.  ``nodes`` memoises the
+    one-sided node count by trial energy, a pure function of (model, grid, E)."""
+
+    model: object
+    grid: ShootingGrid
+    xs: np.ndarray
+    V: np.ndarray
+    match: int
+    left_start: tuple
+    right_start: tuple
+    nodes: dict
+
+
+@functools.lru_cache(maxsize=1)
+def _setup(model, grid):
+    # one entry: the levels of one spectrum share it, and the first shot on
+    # another (model, grid) drops it
+    xs = grid.points
+    V = evaluate_potential(model, xs)
+    xs.flags.writeable = False
+    V.flags.writeable = False
+    n = xs.size
+    m = int(np.argmin(V)) if isinstance(model, HalfHarmonic) else int(np.argmin(np.abs(xs)))
+    m = min(max(m, 3), n - 4)
+    left = _launch(model, "left", xs - xs[0] + grid.eps)
+    if isinstance(model, HalfHarmonic):
+        right = (np.array([0.0, grid.spacing]), 1)  # truncated Gaussian tail
+    else:
+        right = _launch(model, "right", ((xs[-1] - xs) + grid.eps)[::-1])
+    return _Setup(model, grid, xs, V, m, left, right, {})
+
+
+def _sweep_left(setup, T, stop):
+    """Left-to-right Numerov sweep over xs[:stop]."""
+    start, i0 = setup.left_start
+    psi = np.zeros(stop)
     psi[:start.size] = start
-    return _numerov(T, psi, i0)
+    return _numerov(T[:stop], psi, i0)
+
+
+def _sweep_right(setup, T, stop):
+    """Right-to-left Numerov sweep over xs[stop:], returned aligned with them."""
+    start, i0 = setup.right_start
+    nr = T.size - stop
+    psi = np.zeros(nr)
+    psi[:start.size] = start
+    _numerov(np.ascontiguousarray(T[::-1][:nr]), psi, i0)
+    return psi[::-1]
 
 
 def _onesided_nodes(psi_l, T):
@@ -199,94 +255,143 @@ def _onesided_nodes(psi_l, T):
     return _count_nodes(psi_l[: n - tail])
 
 
-def _shoot(model, E, grid, V=None, full_right=False):
-    """Both-end integration; returns everything the search and probes need."""
-    xs = grid.points
-    h = grid.spacing
-    if V is None:
-        V = evaluate_potential(model, xs)
-    T = _numerov_t(model, E, grid, V)
-    n = xs.size
+def _nodes(setup, E):
+    """One-sided node count at E over the whole grid, memoised."""
+    count = setup.nodes.get(E)
+    if count is None:
+        T = _numerov_t(setup.model, E, setup.grid, setup.V)
+        count = setup.nodes[E] = _onesided_nodes(_sweep_left(setup, T, T.size), T)
+    return count
 
-    m = int(np.argmin(V)) if isinstance(model, HalfHarmonic) else int(np.argmin(np.abs(xs)))
-    m = min(max(m, 3), n - 4)
 
-    # left-to-right, full sweep
-    psi_l = _sweep_left(model, xs, grid, T)
+def _wronskian(setup, E):
+    """Matching Wronskian at E, each branch scaled to unit Pruefer amplitude
+    sqrt(psi^2 + (psi'/k)^2) at the match point, k = sqrt(|E - V_m| / kappa).
 
-    # right-to-left on the reversed axis, down to m - 2 (or all the way)
-    s_right = ((xs[-1] - xs) + grid.eps)[::-1]
-    if isinstance(model, HalfHarmonic):
-        start_r, i0_r = np.array([0.0, h]), 1  # truncated Gaussian tail
-    else:
-        start_r, i0_r = _launch(model, "right", s_right)
-    nr = n if full_right else n - (m - 2)
-    psi_r_rev = np.zeros(nr)
-    psi_r_rev[:start_r.size] = start_r
-    _numerov(np.ascontiguousarray(T[::-1][:nr]), psi_r_rev, i0_r)
-    psi_r = psi_r_rev[::-1]  # aligned with xs[n - nr:]
+    Divided by k, it is the sine of the angle between the two branches'
+    Pruefer phases: bounded, smooth in E, and zero exactly at an eigenvalue,
+    wherever the level's nodes sit.  The left branch is swept through m + 1
+    and the right one from m - 1, about one grid sweep in all.
+    """
+    model, grid, m = setup.model, setup.grid, setup.match
+    T = _numerov_t(model, E, grid, setup.V)
+    psi_l = _sweep_left(setup, T, m + 2)
+    psi_r = _sweep_right(setup, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
+    two_h = 2.0 * grid.spacing
+    k = math.sqrt(abs(E - float(setup.V[m])) / kinetic_coefficient(model)) or 1.0
+    l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
+    r0, dr = float(psi_r[1]), float(psi_r[2] - psi_r[0]) / two_h
+    amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
+    if amp_l == 0.0 or amp_r == 0.0:
+        return math.nan
+    return ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
 
-    off = n - nr  # index of xs where psi_r starts (m - 2, or 0 if full)
-    lm, l0, lp = psi_l[m - 1], psi_l[m], psi_l[m + 1]
-    rm, r0, rp = psi_r[m - 1 - off], psi_r[m - off], psi_r[m + 1 - off]
-    scale_l = max(abs(lm), abs(l0), abs(lp))
-    scale_r = max(abs(rm), abs(r0), abs(rp))
-    if scale_l == 0.0 or scale_r == 0.0:
-        mismatch, wronskian = math.inf, 0.0
-        assembled = psi_l.copy()
-    else:
-        lm, l0, lp = lm / scale_l, l0 / scale_l, lp / scale_l
-        rm, r0, rp = rm / scale_r, r0 / scale_r, rp / scale_r
-        wronskian = (lp - lm) * r0 - (rp - rm) * l0
-        if l0 != 0.0 and r0 != 0.0:
-            mismatch = (lp - lm) / (2.0 * h * l0) - (rp - rm) / (2.0 * h * r0)
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _brent(f, a, b, fa, fb, xtol):
+    """Root of f between a and b, where fa and fb differ in sign, to xtol.
+
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps
+    while they shrink the bracket fast enough, bisection otherwise.  The
+    root always stays between b (the best estimate) and c.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        half = 0.5 * (c - b)
+        if abs(half) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through a, b, c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
         else:
-            mismatch = math.inf
-        # least-squares branch ratio over the 5-point overlap: stays correct
-        # (value and sign) when the match value itself passes through zero
-        lwin = psi_l[m - 2: m + 3]
-        rwin = psi_r[m - 2 - off: m + 3 - off]
-        denom = float(rwin @ rwin)
-        alpha = float(lwin @ rwin) / denom if denom > 0 else 1.0
-        assembled = np.concatenate([psi_l[:m], alpha * psi_r[m - off:]])
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, half)
+        fb = f(b)
+
+
+def _shoot(model, E, grid):
+    """Two-sided shot at E.  The left branch is swept through m + 2 and the
+    right one from m - 2, so they share the 5-point overlap around the match
+    point m that sets their ratio."""
+    setup = _setup(model, grid)
+    m = setup.match
+    T = _numerov_t(model, E, grid, setup.V)
+    psi_l = _sweep_left(setup, T, m + 3)
+    psi_r = _sweep_right(setup, T, m - 2)  # psi_r[j] is at xs[m - 2 + j]
+
+    lm, l0, lp = psi_l[m - 1:m + 2]
+    rm, r0, rp = psi_r[1:4]
+    two_h = 2.0 * grid.spacing
+    if l0 != 0.0 and r0 != 0.0:
+        mismatch = (lp - lm) / (two_h * l0) - (rp - rm) / (two_h * r0)
+    else:
+        mismatch = math.inf
+    # least-squares branch ratio over the 5-point overlap: stays correct
+    # (value and sign) when the match value itself passes through zero
+    lwin, rwin = psi_l[m - 2:], psi_r[:5]
+    denom = float(rwin @ rwin)
+    alpha = float(lwin @ rwin) / denom if denom > 0 else 1.0
+    assembled = np.concatenate([psi_l[:m], alpha * psi_r[2:]])
 
     # odd levels have their node at the match point, where both branches pass
-    # through ~0 with bisection-limited signs; counting across a small gap
-    # keeps the genuine sign change and ignores the matching jitter
+    # through ~0 with signs set by the last digits of E; counting across a
+    # small gap keeps the genuine sign change and ignores the matching jitter
     gapped = np.concatenate([assembled[: m - 3], assembled[m + 4:]])
-
-    return {
-        "xs": xs,
-        "assembled": assembled,
-        "psi_left": psi_l,
-        "psi_right": psi_r,
-        "right_offset": off,
-        "match_index": m,
-        "mismatch": float(mismatch),
-        "wronskian": float(wronskian),
-        "nodes_assembled": _count_nodes(gapped),
-    }
+    psi = assembled / np.max(np.abs(assembled))
+    if isinstance(model, HalfHarmonic):
+        parity = None
+    else:
+        parity = "even" if float(psi @ psi[::-1]) >= 0 else "odd"
+    return MatchResult(E, float(mismatch), _count_nodes(gapped), parity, setup.xs, psi)
 
 
 def numerov_integrate(model, E, grid=None):
-    """Integrate at trial energy E; mismatch of left/right log-derivatives at
-    the match point and the node count of the assembled solution."""
+    """Two-sided shot at trial energy E: the mismatch of the left/right
+    log-derivatives at the match point, and the node count, parity and
+    max-normalised values of the assembled solution."""
     if isinstance(model, AntiBox):
         raise ModelUnsupported("AntiBox has no shooting support")
     if grid is None:
         grid = default_grid(model)
-    res = _shoot(model, E, grid)
-    return MatchResult(E, res["mismatch"], res["nodes_assembled"])
+    return _shoot(model, E, grid)
 
 
 def eigenvalue_search(model, k, tol=1e-8, grid=None, e_max_factor=1e4):
-    """k-th eigenvalue (k interior nodes) to absolute width tol.
+    """k-th eigenvalue (k interior nodes), to width tol * energy_scale(model).
 
-    Scans upward (doubling) until the one-sided node count exceeds k and
-    bisects the node staircase; these probes integrate from the left end only.
-    Where the staircase stops resolving (its floor is 1e-13 relative), refines
-    by sign bisection of the two-sided matching Wronskian inside the final
-    bracket.  Returns the bracket midpoint.
+    ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
+    and hbar for the half-line oscillator, so every scale is resolved alike.
+    A doubling scan and bisection of the one-sided node staircase narrow the
+    bracket until it holds level k alone: k nodes at its lower end, k + 1 at
+    its upper end, lower end > 0.  These probes sweep from the left end only
+    and are memoised per (model, grid), so the levels of one spectrum share
+    them.  Brent's method then finds the root of the Pruefer-normalised
+    two-sided matching Wronskian in the bracket, and returns it.  Where that
+    Wronskian has no clean sign change on the bracket, the staircase
+    bisection goes on to the width and the bracket midpoint is returned.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -294,47 +399,43 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None, e_max_factor=1e4):
         raise ValueError("tol must be >= 1e-10")
     if grid is None:
         grid = default_grid(model)
-    xs = grid.points
-    V = evaluate_potential(model, xs)
+    setup = _setup(model, grid)
     scale = energy_scale(model)
+    width = tol * scale
     e_max = e_max_factor * scale
 
-    def nodes(E):
-        # the staircase needs only the left sweep
-        T = _numerov_t(model, E, grid, V)
-        return _onesided_nodes(_sweep_left(model, xs, grid, T), T)
-
-    def wronskian(E):
-        return _shoot(model, E, grid, V)["wronskian"]
-
     lo, hi = 0.0, scale
-    while nodes(hi) <= k:
-        lo, hi = hi, 2.0 * hi
+    n_lo, n_hi = -1, _nodes(setup, hi)  # lo = 0 lies below every level
+    while n_hi <= k:
+        lo, n_lo = hi, n_hi
+        hi = 2.0 * hi
         if hi > e_max:
             raise BracketFailure(
                 f"level {k}: node transition not found below {e_max:.3g} "
                 f"(upper side reached the ceiling)")
+        n_hi = _nodes(setup, hi)
 
-    # node staircase bisection; the one-sided count jumps at each eigenvalue
-    coarse = max(tol, 1e-13 * max(abs(hi), scale))
-    while hi - lo > coarse:
-        mid = 0.5 * (lo + hi)
-        if nodes(mid) >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-    # Wronskian refinement when the sign flip is clean; only reached when the
-    # coarse floor above is wider than tol
-    if hi - lo > tol and lo > 0:
-        w_lo = wronskian(lo)
-        if np.sign(w_lo) != np.sign(wronskian(hi)):
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                w_mid = wronskian(mid)
-                if np.sign(w_mid) == np.sign(w_lo):
-                    lo, w_lo = mid, w_mid
-                else:
-                    hi = mid
+    floor = 1e-13 * max(hi, scale)  # the staircase stops resolving here
+
+    def bisect(done):
+        nonlocal lo, hi, n_lo, n_hi
+        while hi - lo > floor and not done():
+            mid = 0.5 * (lo + hi)
+            n_mid = _nodes(setup, mid)
+            if n_mid > k:
+                hi, n_hi = mid, n_mid
+            else:
+                lo, n_lo = mid, n_mid
+
+    def isolated():
+        return n_lo == k and n_hi == k + 1 and lo > 0
+
+    bisect(isolated)
+    if isolated():
+        w_lo, w_hi = _wronskian(setup, lo), _wronskian(setup, hi)
+        if math.isfinite(w_lo) and math.isfinite(w_hi) and np.sign(w_lo) != np.sign(w_hi):
+            return _brent(functools.partial(_wronskian, setup), lo, hi, w_lo, w_hi, width)
+    bisect(lambda: hi - lo <= width)
     return 0.5 * (lo + hi)
 
 
@@ -342,34 +443,45 @@ def wavefunction(model, E, grid=None):
     """Assembled two-sided solution at E, max-normalized; (xs, psi)."""
     if grid is None:
         grid = default_grid(model)
-    res = _shoot(model, E, grid)
-    psi = res["assembled"]
-    return res["xs"], psi / np.max(np.abs(psi))
+    shot = _shoot(model, E, grid)
+    return shot.xs, shot.psi
 
 
 def boundary_exponent_probe(model, E, grid=None):
     """Fitted slope of log|psi| vs log s near a wall, at a converged energy.
 
-    Uses the assembled two-sided solution and fits the window
-    s in [1e-4, 1e-2] * scale next to the wall.  Integration runs away from
-    that wall there, the direction in which the regular branch is stable, so
-    the window slope is governed by the equation over two decades of s.
+    Fits the window s in [1e-4, 1e-2] * scale next to the wall (the right
+    wall of a box, x = 0 on the half line).  The solution there is the
+    branch launched from that wall, so only that branch is swept, from the
+    wall across the window; the assembled two-sided solution differs from it
+    by a constant factor, which the slope does not see.  Integration runs
+    away from the wall, the direction in which the regular branch is stable,
+    so the window slope is governed by the equation over two decades of s.
     Expected 3/2 at inverse-square walls, 1 at hard walls.
     """
     if grid is None:
         grid = default_grid(model, size=40001)  # dense enough for >= 20 fit points
     scale = length_scale(model)
-    res = _shoot(model, E, grid)
-    xs = res["xs"]
-    psi = res["assembled"]
+    xs = grid.points
     if isinstance(model, HalfHarmonic):
+        side = "left"
         s = xs.copy()  # wall at x = 0
+        launch_s = xs - xs[0] + grid.eps
     else:
-        s = (xs[-1] + grid.eps) - xs  # right wall
+        side = "right"
+        wall, xs = xs[-1], xs[::-1]  # right wall first
+        s = (wall + grid.eps) - xs
+        launch_s = (wall - xs) + grid.eps
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     if np.count_nonzero(window) < 20:
         raise FitFailure(f"only {np.count_nonzero(window)} points in the fit window")
-    a = np.abs(psi[window])
+    stop = int(np.flatnonzero(window)[-1]) + 1
+    T = _numerov_t(model, E, grid, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
+    start, i0 = _launch(model, side, launch_s)
+    psi = np.zeros(stop)
+    psi[:start.size] = start
+    _numerov(T, psi, i0)
+    a = np.abs(psi[window[:stop]])
     good = a > 0
     if np.count_nonzero(good) < 20:
         raise FitFailure("wavefunction vanishes inside the fit window")

@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import boxaffine
 from boxaffine import cli
 from boxaffine.ritz import NotPositiveDefinite
 from boxaffine.shooting import BracketFailure
@@ -178,6 +184,62 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--model", "half-ho")
         assert code == 4
         assert "BracketFailure" in err
+
+
+def run_cli_process(*argv, timeout=60):
+    # a separate process with a timeout, so a search that never ends fails
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "boxaffine.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestEnergyScales:
+    """Shooting resolves every energy scale, since --tol is relative to it."""
+
+    @pytest.mark.parametrize("argv, exact", [
+        # once hung: the absolute-width bisection could not narrow below one ulp
+        (("--model", "cq-box", "--hbar", "1e4", "--levels", "2"),
+         [n * n * math.pi ** 2 / 4 * 1e8 for n in (1, 2)]),
+        # once printed bracket midpoints and exited 0
+        (("--model", "cq-box", "--b", "1000", "--levels", "4"),
+         [n * n * math.pi ** 2 / 4 * 1e-6 for n in (1, 2, 3, 4)]),
+        (("--model", "half-ho", "--hbar", "1e-4", "--levels", "4"),
+         [2e-4 * (k + 1) for k in range(4)]),
+    ])
+    def test_shooting_against_closed_form(self, argv, exact):
+        proc = run_cli_process("spectrum", *argv, "--method", "shooting")
+        assert proc.returncode == 0, proc.stderr
+        energies = [lvl["energy"] for lvl in json.loads(proc.stdout)["levels"]]
+        assert len(energies) == len(exact)
+        for e, ref in zip(energies, exact):
+            assert abs(e - ref) / ref <= 1e-6
+
+    def test_small_scale_methods_agree(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--b", "1000",
+                               "--hbar", "0.001", "--method", "both", "--levels", "2")
+        assert code == 0
+        assert json.loads(out)["agreement"]["max_relative_delta"] < 1e-8
+
+    def test_coarse_grid_methods_agree(self, capsys):
+        # the two-sided Wronskian root; the one-sided staircase midpoint was
+        # 6.2e-5 off Ritz at level 11 on this grid
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--grid-size", "1000",
+                               "--levels", "12")
+        assert code == 0
+        assert json.loads(out)["agreement"]["pass"] is True
+
+
+def test_spectrum_run_leaves_scipy_optimize_unloaded():
+    # the search carries its own Brent root finder; importing scipy.optimize
+    # would add ~0.25 s and ~20 MB to every process
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2'])\n"
+            "print(rc, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "0 False"
 
 
 class TestPotential:

@@ -7,9 +7,11 @@ from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsupported,
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue)
 from boxaffine.ritz import compute_spectrum
-from boxaffine.shooting import (BracketFailure, FitFailure, ShootingGrid, _launch, _numerov,
-                                _numerov_t, _onesided_nodes, boundary_exponent_probe,
-                                default_grid, eigenvalue_search, numerov_integrate, wavefunction)
+from boxaffine import shooting
+from boxaffine.shooting import (BracketFailure, FitFailure, ShootingGrid, _brent, _launch,
+                                _numerov, _numerov_t, _onesided_nodes, _setup,
+                                boundary_exponent_probe, default_grid, eigenvalue_search,
+                                length_scale, numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -56,7 +58,7 @@ class TestEigenvalueSearch:
         exact = cq_eigenvalue(k + 1, GEOM)
         assert abs(e - exact) / exact < 1e-6
 
-    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 1e-4])
     def test_half_harmonic_closed_form(self, hbar):
         model = HalfHarmonic(hbar)
         grid = default_grid(model, 20001)
@@ -123,6 +125,85 @@ class TestEigenvalueSearch:
         with pytest.raises(ValueError):
             eigenvalue_search(CQ, 0, tol=1e-12)
 
+    @pytest.mark.parametrize("b, hbar", [(1000.0, 1.0), (1.0, 1e4), (1e-3, 1.0), (1.0, 1e-3)])
+    def test_tol_relative_to_energy_scale(self, b, hbar):
+        # an absolute width would return bracket midpoints at small scales and
+        # could never be met at large ones
+        geom = BoxGeometry(b, hbar)
+        grid = default_grid(CqBox(geom), 20001)
+        for k in range(3):
+            e = eigenvalue_search(CqBox(geom), k, tol=1e-8, grid=grid)
+            exact = cq_eigenvalue(k + 1, geom)
+            assert abs(e - exact) / exact < 1e-6
+
+    @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
+    def test_probe_memo_leaves_energies_unchanged(self, model):
+        # node-count probes are shared across the levels of one (model, grid);
+        # a level must come out the same whatever the memo already holds
+        grid = default_grid(model, 20001)
+        for k in (3, 6):
+            _setup.cache_clear()
+            cold = eigenvalue_search(model, k, tol=1e-9, grid=grid)
+            _setup.cache_clear()
+            warm = [eigenvalue_search(model, j, tol=1e-9, grid=grid) for j in range(k + 1)][-1]
+            assert warm == cold
+
+    def test_sweeps_per_level(self, monkeypatch):
+        # a count, not a timing: isolating brackets, shared staircase probes
+        # and Brent keep 12 levels to <= 20 kernel calls each (the all-bisection
+        # search took ~39 full-grid sweeps per level)
+        calls = []
+
+        def counted(T, psi, i0):
+            calls.append(T.shape[0])
+            return _numerov(T, psi, i0)
+
+        monkeypatch.setattr(shooting, "_numerov", counted)
+        grid = default_grid(AQ, 20001)
+        _setup.cache_clear()
+        for k in range(12):
+            eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
+        assert len(calls) <= 20 * 12
+
+    def test_two_sided_root_matches_ritz(self):
+        # the Wronskian root is the two-sided eigenvalue of the grid; the
+        # one-sided staircase alone sits 2e-8 to 2e-7 away from Ritz
+        grid = default_grid(AQ, 20001)
+        ref = compute_spectrum(AQ, 64, n_diagnostics=12).eigenvalues[:12]
+        got = np.array([eigenvalue_search(AQ, k, tol=1e-8, grid=grid) for k in range(12)])
+        assert np.max(np.abs(got - ref) / ref) < 5e-9
+
+    def test_staircase_fallback_without_sign_change(self, monkeypatch):
+        # no clean Wronskian sign change: the staircase bisection alone
+        # narrows the bracket to the width and returns its midpoint
+        monkeypatch.setattr(shooting, "_wronskian", lambda setup, E: 1.0)
+        _setup.cache_clear()
+        grid = default_grid(CQ, 20001)
+        for k in range(3):
+            e = eigenvalue_search(CQ, k, tol=1e-9, grid=grid)
+            exact = cq_eigenvalue(k + 1, GEOM)
+            assert abs(e - exact) / exact < 1e-6
+
+
+class TestBrent:
+    def test_root_of_cosine(self):
+        root = _brent(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0), 1e-14)
+        assert root == pytest.approx(math.pi / 2, abs=1e-14)
+
+    def test_root_at_bracket_end(self):
+        assert _brent(lambda x: x - 1.0, 1.0, 3.0, 0.0, 2.0, 1e-12) == 1.0
+
+    def test_step_function_terminates_by_bisection(self):
+        calls = []
+
+        def step(x):
+            calls.append(x)
+            return -1.0 if x < 0.3 else 1.0
+
+        root = _brent(step, 0.0, 1.0, -1.0, 1.0, 1e-10)
+        assert abs(root - 0.3) <= 1e-10
+        assert len(calls) < 200
+
 
 class TestBoundaryExponent:
     def test_aq_box_ground(self):
@@ -142,6 +223,26 @@ class TestBoundaryExponent:
         with pytest.raises(FitFailure):
             boundary_exponent_probe(model, 2.0, default_grid(model, 1001))
 
+    @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
+    def test_wall_sweep_matches_full_grid_fit(self, model):
+        # the probe sweeps only from the wall across the fit window; the slope
+        # must be the one fitted on the assembled two-sided solution
+        grid = default_grid(model, 40001)
+        for k in (0, 1, 5):
+            e = eigenvalue_search(model, k, tol=1e-9, grid=default_grid(model, 20001))
+            assert boundary_exponent_probe(model, e) == pytest.approx(
+                _exponent_reference(model, e, grid), abs=1e-12)
+
+
+def _exponent_reference(model, E, grid):
+    # the full-grid fit: log|psi| of the assembled two-sided solution against
+    # log s over the window s in [1e-4, 1e-2] * scale next to the wall
+    xs, psi = wavefunction(model, E, grid)
+    scale = length_scale(model)
+    s = xs.copy() if isinstance(model, HalfHarmonic) else (xs[-1] + grid.eps) - xs
+    window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
+    return float(np.polyfit(np.log(s[window]), np.log(np.abs(psi[window])), 1)[0])
+
 
 class TestWavefunction:
     def test_normalized_and_symmetric(self):
@@ -155,6 +256,17 @@ class TestWavefunction:
         e1 = eigenvalue_search(AQ, 1, tol=1e-9, grid=grid)
         xs, psi = wavefunction(AQ, e1, grid)
         assert psi == pytest.approx(-psi[::-1], abs=1e-4)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_shot_carries_wavefunction_and_parity(self, k):
+        grid = default_grid(AQ, 20001)
+        e = eigenvalue_search(AQ, k, tol=1e-9, grid=grid)
+        shot = numerov_integrate(AQ, e, grid)
+        xs, psi = wavefunction(AQ, e, grid)
+        assert np.array_equal(shot.xs, xs) and np.array_equal(shot.psi, psi)
+        assert shot.node_count == k
+        assert shot.parity == ("even" if k % 2 == 0 else "odd")
+        assert numerov_integrate(HalfHarmonic(1.0), 2.0).parity is None
 
     def test_half_harmonic_matches_closed_form(self):
         model = HalfHarmonic(1.0)
