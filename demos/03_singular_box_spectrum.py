@@ -26,7 +26,7 @@ print(f"last-step relative change: {np.max(table.final_change):.2e}")
 print()
 
 spec = compute_spectrum(model, 48, n_diagnostics=6)
-grid = shooting.default_grid(model, 40001, eps_frac=1e-6)
+grid = shooting.default_grid(model, 40001)
 
 print("Cross-validation against the shooting oracle:")
 print(f"{'k':>3} {'variational':>16} {'shooting':>16} {'rel delta':>12} {'parity':>7} {'nodes':>6}")

@@ -8,18 +8,16 @@ for the box with inverse-square walls, the half-line oscillator benchmark,
 and the flat Dirichlet box.
 """
 
-from .boxmodes import (BoxGeometry, CqLevel, TrigMode, classify_trig_modes, cq_eigenfunction,
-                       cq_eigenfunction_extended, cq_eigenvalue, cq_level, cq_norm_squared)
+from .boxmodes import (BoxGeometry, TrigMode, classify_trig_modes, cq_eigenfunction,
+                       cq_eigenfunction_extended, cq_eigenvalue)
 from .piecewise import (DeltaTerm, Piece, PiecewiseSmooth, WeakDerivative,
                         discrete_second_derivative_norm, flat_ramp, l2_norm_squared,
-                        linear_combination, one_sided_limit, weak_derivative,
-                        weak_second_derivative)
-from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelSpec, Potential,
-                         anti_box_potential, aq_box_potential, as_potential,
-                         boundary_asymptotic_ratio, evaluate_potential, half_ho_eigenfunction,
-                         half_ho_eigenvalue, half_ho_potential, kinetic_coefficient,
-                         singularity_metadata)
-from .quadrature import QuadratureRule, gauss_legendre, laguerre_eval, legendre_eval
+                        weak_derivative, weak_second_derivative)
+from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, anti_box_potential,
+                         aq_box_potential, boundary_asymptotic_ratio, evaluate_potential,
+                         half_ho_eigenfunction, half_ho_eigenvalue, half_ho_potential,
+                         kinetic_coefficient, singularity_metadata)
+from .quadrature import QuadratureRule, gauss_legendre, laguerre_eval
 from .ritz import (BasisSpec, GeneralizedEigProblem, SpectrumResult, assemble_matrices,
                    compute_spectrum, convergence_sweep, solve_generalized_symmetric)
 from .shooting import (MatchResult, ShootingGrid, boundary_exponent_probe, default_grid,
@@ -28,16 +26,16 @@ from .shooting import (MatchResult, ShootingGrid, boundary_exponent_probe, defau
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxGeometry", "TrigMode", "CqLevel", "classify_trig_modes", "cq_eigenfunction",
-    "cq_eigenfunction_extended", "cq_eigenvalue", "cq_level", "cq_norm_squared",
+    "BoxGeometry", "TrigMode", "classify_trig_modes", "cq_eigenfunction",
+    "cq_eigenfunction_extended", "cq_eigenvalue",
     "Piece", "PiecewiseSmooth", "DeltaTerm", "WeakDerivative", "weak_derivative",
     "weak_second_derivative", "l2_norm_squared", "discrete_second_derivative_norm",
-    "one_sided_limit", "linear_combination", "flat_ramp",
-    "ModelSpec", "CqBox", "AqBox", "HalfHarmonic", "AntiBox", "Potential",
+    "flat_ramp",
+    "CqBox", "AqBox", "HalfHarmonic", "AntiBox",
     "aq_box_potential", "half_ho_potential", "anti_box_potential",
     "boundary_asymptotic_ratio", "singularity_metadata", "evaluate_potential",
-    "as_potential", "kinetic_coefficient", "half_ho_eigenvalue", "half_ho_eigenfunction",
-    "QuadratureRule", "gauss_legendre", "legendre_eval", "laguerre_eval",
+    "kinetic_coefficient", "half_ho_eigenvalue", "half_ho_eigenfunction",
+    "QuadratureRule", "gauss_legendre", "laguerre_eval",
     "BasisSpec", "GeneralizedEigProblem", "SpectrumResult", "assemble_matrices",
     "solve_generalized_symmetric", "compute_spectrum", "convergence_sweep",
     "ShootingGrid", "MatchResult", "default_grid", "numerov_integrate",

@@ -124,7 +124,7 @@ def criterion_6_aq_box_cross_method():
     monotone = bool(np.all(np.diff(sweep.energies, axis=0) <= 1e-12))
     final_change = float(np.max(sweep.final_change))
     spec = ritz.compute_spectrum(model, 48, n_diagnostics=6)
-    grid = shooting.default_grid(model, 40001, eps_frac=1e-6)
+    grid = shooting.default_grid(model, 40001)
     worst = 0.0
     structure_ok = True
     for k in range(6):

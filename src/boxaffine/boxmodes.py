@@ -40,17 +40,6 @@ class TrigMode:
             raise ValueError("kind must be 'cosine' or 'sine'")
 
 
-@dataclass(frozen=True)
-class CqLevel:
-    n: int
-    energy: float
-    mode: TrigMode
-
-
-def _mode_kind(n):
-    return "cosine" if n % 2 else "sine"
-
-
 def cq_eigenfunction(n, x, geom=BoxGeometry()):
     """Unnormalized n-th box mode, exactly zero for |x| >= b.
 
@@ -70,17 +59,6 @@ def cq_eigenvalue(n, geom=BoxGeometry()):
     if n < 1:
         raise ValueError("n must be >= 1")
     return geom.hbar**2 * n**2 * np.pi**2 / (4.0 * geom.b**2)
-
-
-def cq_norm_squared(n, geom=BoxGeometry()):
-    """Squared L^2 norm over (-b, b); equals b exactly for every n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return geom.b
-
-
-def cq_level(n, geom=BoxGeometry()):
-    return CqLevel(n, cq_eigenvalue(n, geom), TrigMode(n, _mode_kind(n)))
 
 
 def classify_trig_modes(M, geom=BoxGeometry()):
@@ -104,18 +82,16 @@ def classify_trig_modes(M, geom=BoxGeometry()):
     return accepted, rejected
 
 
-def cq_eigenfunction_extended(n, geom=BoxGeometry(), margin=None):
-    """The n-th mode extended by zero, as a PiecewiseSmooth on
-    (-b - margin, b + margin) with breakpoints at the walls.
+def cq_eigenfunction_extended(n, geom=BoxGeometry()):
+    """The n-th mode extended by zero, as a PiecewiseSmooth on (-2b, 2b)
+    with breakpoints at the walls.
 
     The zero extension is continuous, but its slope jumps at +-b, so the weak
     second derivative picks up one delta per wall.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    b, margin = geom.b, geom.b if margin is None else margin
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    b = geom.b
     k = n * np.pi / (2.0 * b)
 
     if n % 2:
@@ -129,7 +105,7 @@ def cq_eigenfunction_extended(n, geom=BoxGeometry(), margin=None):
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return PiecewiseSmooth((
-        Piece(-b - margin, -b, zero, zero, zero),
+        Piece(-2.0 * b, -b, zero, zero, zero),
         Piece(-b, b, f, df, d2f),
-        Piece(b, b + margin, zero, zero, zero),
+        Piece(b, 2.0 * b, zero, zero, zero),
     ))

@@ -208,13 +208,18 @@ def parse_config(argv):
         if unknown:
             raise UsageError(f"--config: unknown keys {sorted(unknown)}")
 
-    def pick(key, attr=None):
-        cli_val = getattr(args, attr or key, None)
-        if cli_val is not None:
-            return cli_val
-        if key in file_cfg:
-            return file_cfg[key]
-        return _DEFAULTS[key]
+    def pick(key, convert=None):
+        # flags come typed from argparse, so only a config-file value can fail
+        # to convert; an unset optional key stays None
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is None:
+            value = file_cfg.get(key, _DEFAULTS[key])
+        if convert is None or (value is None and _DEFAULTS[key] is None):
+            return value
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"--config: bad value {value!r} for {key!r}")
 
     model_name = pick("model")
     if model_name not in MODEL_NAMES:
@@ -222,17 +227,18 @@ def parse_config(argv):
     method = pick("method")
     if method is not None and method not in METHODS:
         raise UsageError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    fmt = pick("format", "format")
+    fmt = pick("format")
     if fmt not in ("json", "csv"):
         raise UsageError(f"--format must be json or csv, got {fmt!r}")
 
-    b = float(pick("b"))
-    hbar = float(pick("hbar"))
-    W = float(pick("W"))
-    levels = int(pick("levels"))
-    basis_size = int(pick("basis-size", "basis_size"))
-    grid_size = int(pick("grid-size", "grid_size"))
-    tol = float(pick("tol"))
+    b = pick("b", float)
+    hbar = pick("hbar", float)
+    W = pick("W", float)
+    levels = pick("levels", int)
+    basis_size = pick("basis-size", int)
+    grid_size = pick("grid-size", int)
+    tol = pick("tol", float)
+    n = pick("n", int)
 
     if not (b > 0 and math.isfinite(b)):
         raise UsageError("--b must be > 0")
@@ -252,8 +258,10 @@ def parse_config(argv):
         raise UsageError("--grid-size must be >= 1000")
     if not 1e-10 <= tol <= 1e-2:
         raise UsageError("--tol must be in [1e-10, 1e-2]")
+    if n < 1:
+        raise UsageError("--n must be >= 1")
 
-    sizes_raw = str(pick("sizes"))
+    sizes_raw = pick("sizes", str)
     try:
         sizes = tuple(int(s) for s in sizes_raw.split(",") if s.strip())
     except ValueError:
@@ -269,12 +277,12 @@ def parse_config(argv):
         grid_size=grid_size,
         tol=tol,
         fmt=fmt,
-        out=pick("out"),
-        target=str(pick("target")),
-        n=int(pick("n")),
-        x_min=pick("x-min", "x_min"),
-        x_max=pick("x-max", "x_max"),
-        points=int(pick("points")),
+        out=pick("out", str),
+        target=pick("target", str),
+        n=n,
+        x_min=pick("x-min", float),
+        x_max=pick("x-max", float),
+        points=pick("points", int),
         sizes=sizes,
         dump_psi=getattr(args, "dump_psi", None),
     )
@@ -286,6 +294,9 @@ def parse_config(argv):
     if cfg.model_name == "half-ho" and cfg.command == "spectrum":
         if cfg.method in ("rayleigh-ritz", "both"):
             raise UsageError("half-ho supports only `--method shooting`")
+    if (cfg.command == "spectrum" and cfg.model_name in ("cq-box", "aq-box")
+            and cfg.method != "shooting" and cfg.levels > cfg.basis_size):
+        raise UsageError("--levels must be <= --basis-size when Rayleigh-Ritz runs")
     return cfg
 
 
@@ -443,9 +454,9 @@ def _potential_grid(cfg, model):
     }
     lo, hi = defaults[cfg.model_name]
     if cfg.x_min is not None:
-        lo = float(cfg.x_min)
+        lo = cfg.x_min
     if cfg.x_max is not None:
-        hi = float(cfg.x_max)
+        hi = cfg.x_max
     if not lo < hi:
         raise UsageError("--x-min must be < --x-max")
     if cfg.points < 2:

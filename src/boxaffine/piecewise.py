@@ -26,8 +26,8 @@ class QuadratureFailure(RuntimeError):
 class Piece:
     """One smooth piece on the open interval (lo, hi).
 
-    Evaluators must be finite on the closure unless the matching singular flag
-    is set, in which case one-sided limits fall back to extrapolation.
+    Evaluators must be finite on the closure: one-sided limits at a
+    breakpoint are taken by evaluating the adjacent piece there.
     """
 
     lo: float
@@ -35,8 +35,6 @@ class Piece:
     f: Callable
     df: Optional[Callable] = None
     d2f: Optional[Callable] = None
-    singular_lo: bool = False
-    singular_hi: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -106,17 +104,6 @@ class PiecewiseSmooth:
     def second_derivative(self, x):
         return self._evaluate(x, 2)
 
-    def piece_at(self, x0, side):
-        """The piece adjacent to x0 on the given side ('left' or 'right')."""
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        for p in self.pieces:
-            if side == "left" and p.lo < x0 <= p.hi:
-                return p
-            if side == "right" and p.lo <= x0 < p.hi:
-                return p
-        raise ValueError(f"no piece adjacent to x0={x0} on the {side}")
-
 
 @dataclass(frozen=True)
 class WeakDerivative:
@@ -131,58 +118,12 @@ class WeakDerivative:
         return not self.delta_terms and not self.delta_prime_terms
 
 
-def one_sided_limit(f, x0, side, singular=False, eps0=1e-3, max_levels=30):
-    """lim f(x0 +- eps) for a single piece evaluator.
-
-    Pieces carry analytic evaluators, so the default is direct evaluation at
-    x0.  With `singular=True` the endpoint cannot be evaluated and a Richardson
-    extrapolation over eps = eps0 * 2^-k is used instead; a diverging limit is
-    reported as +-inf rather than raised.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if not singular:
-        return float(f(x0))
-
-    sgn = 1.0 if side == "right" else -1.0
-    table = []
-    prev_best = None
-    first = None
-    prev_raw = None
-    growing = 0
-    for k in range(max_levels):
-        eps = eps0 * 0.5**k
-        val = float(f(x0 + sgn * eps))
-        if not math.isfinite(val):
-            return math.inf if val > 0 or math.isnan(val) else -math.inf
-        if first is None:
-            first = val
-        # sustained growth as eps shrinks marks a divergent limit
-        if prev_raw is not None and abs(val) > 1.2 * abs(prev_raw):
-            growing += 1
-            if growing >= 4 and abs(val) > 1e4 * max(1e-300, abs(first)):
-                return math.copysign(math.inf, val)
-        else:
-            growing = 0
-        prev_raw = val
-        row = [val]
-        for j in range(1, k + 1):
-            denom = 2.0**j - 1.0
-            row.append(row[j - 1] + (row[j - 1] - table[k - 1][j - 1]) / denom)
-        table.append(row)
-        best = row[-1]
-        if prev_best is not None and abs(best - prev_best) <= 1e-12 * max(1.0, abs(best)):
-            return best
-        prev_best = best
-    return prev_best
-
-
-def _limit_from_piece(piece, x0, side, which):
+def _limit_from_piece(piece, x0, which):
+    """Limit at the endpoint x0 from inside the piece: its evaluator at x0."""
     fn = (piece.f, piece.df, piece.d2f)[which]
     if fn is None:
         raise ValueError("piece lacks the requested derivative evaluator")
-    singular = piece.singular_hi if side == "left" else piece.singular_lo
-    return one_sided_limit(lambda x: fn(np.asarray(x, dtype=float)), x0, side, singular=singular)
+    return float(fn(np.asarray(x0, dtype=float)))
 
 
 def _jumps(pw, which):
@@ -190,7 +131,7 @@ def _jumps(pw, which):
     out = []
     for left, right in zip(pw.pieces, pw.pieces[1:]):
         x0 = left.hi
-        jump = _limit_from_piece(right, x0, "right", which) - _limit_from_piece(left, x0, "left", which)
+        jump = _limit_from_piece(right, x0, which) - _limit_from_piece(left, x0, which)
         if abs(jump) > JUMP_THRESHOLD:
             out.append(DeltaTerm(x0, jump))
     return tuple(out)
@@ -201,7 +142,7 @@ def _shifted_pieces(pw, shift):
     pieces = []
     for p in pw.pieces:
         fs = (p.f, p.df, p.d2f)[shift:] + (None,) * shift
-        pieces.append(Piece(p.lo, p.hi, fs[0], fs[1], fs[2], p.singular_lo, p.singular_hi))
+        pieces.append(Piece(p.lo, p.hi, fs[0], fs[1], fs[2]))
     return PiecewiseSmooth(tuple(pieces))
 
 
@@ -273,27 +214,6 @@ def discrete_second_derivative_norm(f, h, interior_only=False):
     if interior_only:
         d2 = d2[2:-2]
     return float(h * np.sum(d2 * d2))
-
-
-def linear_combination(alpha, f, beta, g):
-    """alpha*f + beta*g for two functions with identical piece boundaries."""
-    if len(f.pieces) != len(g.pieces):
-        raise ValueError("piece layouts differ")
-    pieces = []
-    for pf, pg in zip(f.pieces, g.pieces):
-        if pf.lo != pg.lo or pf.hi != pg.hi:
-            raise ValueError("piece layouts differ")
-
-        def mk(fa, fb, a=alpha, b=beta):
-            if fa is None or fb is None:
-                return None
-            return lambda x, fa=fa, fb=fb: a * fa(x) + b * fb(x)
-
-        pieces.append(Piece(pf.lo, pf.hi, mk(pf.f, pg.f), mk(pf.df, pg.df),
-                            mk(pf.d2f, pg.d2f),
-                            pf.singular_lo or pg.singular_lo,
-                            pf.singular_hi or pg.singular_hi))
-    return PiecewiseSmooth(tuple(pieces))
 
 
 def flat_ramp():

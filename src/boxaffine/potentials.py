@@ -11,7 +11,6 @@ pull toward the walls; it is evaluated but never solved here.
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -54,22 +53,6 @@ class AntiBox:
     def __post_init__(self):
         if not (self.W >= 0 and math.isfinite(self.W)):
             raise ValueError("W must be >= 0 and finite")
-
-
-ModelSpec = Union[CqBox, AqBox, HalfHarmonic, AntiBox]
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Evaluable potential with its domain and declared wall singularities.
-
-    singular_endpoints lists (location, leading coefficient c, exponent -2)
-    for every endpoint where V ~ c / distance^2.
-    """
-
-    domain: tuple
-    evaluate: callable
-    singular_endpoints: tuple = ()
 
 
 def aq_box_potential(x, geom=BoxGeometry()):
@@ -144,19 +127,6 @@ def kinetic_coefficient(model):
     raise ModelUnsupported(f"unknown model {type(model).__name__}")
 
 
-def domain(model):
-    """Open domain(s) of the variant, as a tuple of (lo, hi) intervals."""
-    if isinstance(model, (CqBox, AqBox)):
-        b = model.geom.b
-        return ((-b, b),)
-    if isinstance(model, HalfHarmonic):
-        return ((0.0, math.inf),)
-    if isinstance(model, AntiBox):
-        b = model.geom.b
-        return ((-math.inf, -b), (b, math.inf))
-    raise ModelUnsupported(f"unknown model {type(model).__name__}")
-
-
 def evaluate_potential(model, x):
     """V(x) for any variant (zero inside the flat box)."""
     if isinstance(model, CqBox):
@@ -174,15 +144,6 @@ def evaluate_potential(model, x):
     if isinstance(model, AntiBox):
         return anti_box_potential(x, model.geom, model.W)
     raise ModelUnsupported(f"unknown model {type(model).__name__}")
-
-
-def as_potential(model):
-    """Bundle a variant into a Potential record with singularity metadata."""
-    try:
-        singular = singularity_metadata(model)
-    except ModelUnsupported:
-        singular = ()
-    return Potential(domain(model), lambda x: evaluate_potential(model, x), singular)
 
 
 def half_ho_eigenvalue(k, hbar=1.0):

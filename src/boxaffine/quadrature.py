@@ -20,23 +20,6 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-def legendre_eval(k, t):
-    """Legendre polynomial P_k(t) via the three-term recurrence.
-
-    Accepts scalar or array t with |t| <= 1.
-    """
-    t = np.asarray(t, dtype=float)
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    p_prev = np.ones_like(t)
-    if k == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = t.copy()
-    for j in range(1, k):
-        p, p_prev = ((2 * j + 1) * t * p - j * p_prev) / (j + 1), p
-    return p if p.ndim else float(p)
-
-
 def legendre_table(nmax, t):
     """Values and first derivatives of P_0..P_nmax at the points t.
 

@@ -7,7 +7,6 @@ Dirichlet box.  The generalized problem H v = lambda S v is solved by LAPACK
 (scipy.linalg.eigh), with each eigenvalue refined by one Rayleigh quotient.
 """
 
-import io
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -17,6 +16,7 @@ import scipy.linalg
 from .boxmodes import BoxGeometry
 from .potentials import AqBox, CqBox, ModelUnsupported, evaluate_potential, kinetic_coefficient
 from .quadrature import gauss_legendre, legendre_second_derivative_table, legendre_table
+from .shooting import count_nodes
 
 MAX_BASIS = 64
 
@@ -78,7 +78,7 @@ def _basis_tables(basis, t, with_second=False):
     return chi, dchi, d2chi
 
 
-def assemble_matrices(model, basis=None, rule=None):
+def assemble_matrices(model, basis=None):
     """Stiffness and overlap matrices by exact Gauss quadrature.
 
     The kinetic term uses the integration-by-parts form
@@ -92,10 +92,7 @@ def assemble_matrices(model, basis=None, rule=None):
         raise ModelUnsupported(f"assembly supports CqBox/AqBox, got {type(model).__name__}")
     if basis is None:
         basis = basis_for(model, 32)
-    if rule is None:
-        rule = gauss_legendre(2 * basis.size + 8)
-    if rule.order < 2 * basis.size + 8:
-        raise ValueError("rule order must be >= 2N + 8 for exact assembly")
+    rule = gauss_legendre(2 * basis.size + 8)
 
     b, hbar = basis.geom.b, basis.geom.hbar
     w = basis.weight_exponent
@@ -187,12 +184,6 @@ class SpectrumResult:
         return float(out[0]) if scalar else out
 
 
-def _node_count(values):
-    signs = np.sign(values)
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(np.diff(signs)))
-
-
 def compute_spectrum(model, n_basis=32, n_diagnostics=None):
     """Assemble, solve, and attach diagnostics for the lowest levels.
 
@@ -229,7 +220,7 @@ def compute_spectrum(model, n_basis=32, n_diagnostics=None):
         parity = "even" if even_w >= odd_w else "odd"
 
         psi = c @ chi_g
-        nodes = _node_count(psi)
+        nodes = count_nodes(psi)
 
         psi_fit = np.abs(c @ chi_fit)
         slope = float(np.polyfit(np.log(s_fit), np.log(psi_fit), 1)[0])
@@ -274,12 +265,3 @@ def convergence_sweep(model, sizes, n_levels=6):
         final_change = np.full(n_levels, np.nan)
     return ConvergenceTable(sizes, energies, final_change)
 
-
-def matrix_to_csv(M):
-    """Row-major CSV dump with a header row of column indices (debug aid)."""
-    buf = io.StringIO()
-    n = M.shape[1]
-    buf.write(",".join(str(j) for j in range(n)) + "\n")
-    for row in M:
-        buf.write(",".join(repr(float(v)) for v in row) + "\n")
-    return buf.getvalue()

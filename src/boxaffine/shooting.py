@@ -65,7 +65,6 @@ class MatchResult:
     """
 
     energy: float
-    log_derivative_mismatch: float
     node_count: int
     parity: Optional[str]
     xs: np.ndarray
@@ -90,19 +89,21 @@ def length_scale(model):
     raise ModelUnsupported(f"no shooting support for {type(model).__name__}")
 
 
-def default_grid(model, size=20001, eps_frac=1e-6):
+EPS_FRAC = 1e-6  # singular-wall offset, in units of the domain scale
+E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
+
+
+def default_grid(model, size=20001):
     """Integration grid matched to the variant's domain.
 
-    Singular walls are offset by eps = eps_frac * (domain scale); the
+    Singular walls are offset by eps = EPS_FRAC * (domain scale); the
     half-line oscillator is truncated at 12 sqrt(hbar), far beyond where the
     Gaussian tail matters.
     """
     if isinstance(model, AntiBox):
         raise ModelUnsupported("AntiBox has no shooting support")
     scale = length_scale(model)
-    if not 1e-8 <= eps_frac <= 1e-3:
-        raise ValueError("eps_frac outside [1e-8, 1e-3]")
-    eps = eps_frac * scale
+    eps = EPS_FRAC * scale
     if isinstance(model, CqBox):
         b = model.geom.b
         return ShootingGrid(-b, b, size, 0.0)
@@ -165,7 +166,13 @@ def _numerov(T, psi, i0):
     return psi
 
 
-def _count_nodes(psi):
+def count_nodes(psi):
+    """Sign changes in sampled values, zeros skipped.
+
+    The one sign-change diagnostic both solvers share: shooting brackets
+    levels with it and counts the nodes of its final shot, Ritz counts those
+    of its sampled eigenfunctions.  The eigenvalues stay each solver's own.
+    """
     signs = np.sign(psi)
     signs = signs[signs != 0]
     return int(np.count_nonzero(np.diff(signs) != 0))
@@ -252,7 +259,7 @@ def _onesided_nodes(psi_l, T):
     tail = 0
     while tail < 3 and T[n - 1 - tail] > 1.0:
         tail += 1
-    return _count_nodes(psi_l[: n - tail])
+    return count_nodes(psi_l[: n - tail])
 
 
 def _nodes(setup, E):
@@ -342,13 +349,6 @@ def _shoot(model, E, grid):
     psi_l = _sweep_left(setup, T, m + 3)
     psi_r = _sweep_right(setup, T, m - 2)  # psi_r[j] is at xs[m - 2 + j]
 
-    lm, l0, lp = psi_l[m - 1:m + 2]
-    rm, r0, rp = psi_r[1:4]
-    two_h = 2.0 * grid.spacing
-    if l0 != 0.0 and r0 != 0.0:
-        mismatch = (lp - lm) / (two_h * l0) - (rp - rm) / (two_h * r0)
-    else:
-        mismatch = math.inf
     # least-squares branch ratio over the 5-point overlap: stays correct
     # (value and sign) when the match value itself passes through zero
     lwin, rwin = psi_l[m - 2:], psi_r[:5]
@@ -365,12 +365,11 @@ def _shoot(model, E, grid):
         parity = None
     else:
         parity = "even" if float(psi @ psi[::-1]) >= 0 else "odd"
-    return MatchResult(E, float(mismatch), _count_nodes(gapped), parity, setup.xs, psi)
+    return MatchResult(E, count_nodes(gapped), parity, setup.xs, psi)
 
 
 def numerov_integrate(model, E, grid=None):
-    """Two-sided shot at trial energy E: the mismatch of the left/right
-    log-derivatives at the match point, and the node count, parity and
+    """Two-sided shot at trial energy E: the node count, parity and
     max-normalised values of the assembled solution."""
     if isinstance(model, AntiBox):
         raise ModelUnsupported("AntiBox has no shooting support")
@@ -379,7 +378,7 @@ def numerov_integrate(model, E, grid=None):
     return _shoot(model, E, grid)
 
 
-def eigenvalue_search(model, k, tol=1e-8, grid=None, e_max_factor=1e4):
+def eigenvalue_search(model, k, tol=1e-8, grid=None):
     """k-th eigenvalue (k interior nodes), to width tol * energy_scale(model).
 
     ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
@@ -402,7 +401,7 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None, e_max_factor=1e4):
     setup = _setup(model, grid)
     scale = energy_scale(model)
     width = tol * scale
-    e_max = e_max_factor * scale
+    e_max = E_MAX_FACTOR * scale
 
     lo, hi = 0.0, scale
     n_lo, n_hi = -1, _nodes(setup, hi)  # lo = 0 lies below every level

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from boxaffine.boxmodes import (BoxGeometry, classify_trig_modes, cq_eigenfunction,
-                                cq_eigenfunction_extended, cq_eigenvalue, cq_level,
-                                cq_norm_squared)
+                                cq_eigenfunction_extended, cq_eigenvalue)
 from boxaffine.piecewise import l2_norm_squared, weak_second_derivative
 from boxaffine.quadrature import gauss_legendre
 
@@ -58,18 +57,12 @@ class TestEigenvalue:
     def test_hbar_scaling(self):
         assert cq_eigenvalue(1, BoxGeometry(1.0, 2.0)) == pytest.approx(math.pi**2, rel=1e-15)
 
-    def test_level_record(self):
-        lv = cq_level(3, GEOM)
-        assert lv.mode.kind == "cosine" and lv.n == 3
-        assert lv.energy == pytest.approx(9 * math.pi**2 / 4)
-
 
 class TestNormSquared:
     @pytest.mark.parametrize("n,b,expected", [(1, 1.0, 1.0), (4, 1.0, 1.0), (1, 2.0, 2.0)])
     def test_equals_half_width(self, n, b, expected):
+        # the squared L^2 norm over (-b, b) is b for every mode
         geom = BoxGeometry(b, 1.0)
-        assert cq_norm_squared(n, geom) == expected
-        # quadrature oracle
         rule = gauss_legendre(128)
         val = rule.integrate(lambda x: cq_eigenfunction(n, x, geom) ** 2, -b, b)
         assert val == pytest.approx(expected, rel=1e-12)

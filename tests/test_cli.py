@@ -47,6 +47,16 @@ class TestParseConfig:
         with pytest.raises(cli.UsageError):
             cli.parse_config(["spectrum", "--config", str(path)])
 
+    @pytest.mark.parametrize("command, values", [
+        ("spectrum", {"levels": "x"}), ("spectrum", {"b": None}),
+        ("potential", {"x-min": "a"})], ids=["levels", "b", "x-min"])
+    def test_config_bad_value_names_the_key(self, capsys, tmp_path, command, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        code, _, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert repr(next(iter(values))) in err
+
     def test_negative_b_names_the_flag(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--b", "-1")
         assert code == 2
@@ -85,6 +95,22 @@ class TestParseConfig:
     def test_tol_range(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--tol", "1e-12")
         assert code == 2
+
+    @pytest.mark.parametrize("method, expected", [
+        ("both", 2), ("rayleigh-ritz", 2), ("shooting", 0)])
+    def test_levels_beyond_basis_size(self, capsys, method, expected):
+        # Ritz has only --basis-size levels; shooting is not bound by it
+        code, _, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--basis-size", "4",
+                               "--levels", "6", "--method", method)
+        assert code == expected
+        if expected == 2:
+            assert "--basis-size" in err
+
+    def test_mode_index_below_one(self, capsys):
+        code, _, err = run_cli(capsys, "check-derivatives", "--target", "cq-eigenfunction",
+                               "--n", "0")
+        assert code == 2
+        assert "--n" in err
 
 
 class TestSpectrum:

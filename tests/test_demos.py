@@ -1,0 +1,45 @@
+"""The package's callers outside it: the demos and the benchmark's tracer.
+
+Both reach into the public API by name, so a deleted or renamed function
+shows up here rather than only when they are next run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import boxaffine
+import boxaffine.cli  # noqa: F401  (the tracer wraps names across every module)
+from boxaffine import shooting
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def test_five_demos_found():
+    assert len(DEMOS) == 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_resolves_every_traced_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracing import Tracer
+
+    original = shooting.eigenvalue_search
+    tracer = Tracer()
+    try:
+        tracer.install()  # raises LookupError if a traced name is gone
+        assert shooting.eigenvalue_search is not original
+    finally:
+        tracer.uninstall()
+    assert shooting.eigenvalue_search is original

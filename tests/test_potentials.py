@@ -7,10 +7,9 @@ from scipy import integrate
 from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import (AntiBox, AqBox, CqBox, DomainError, HalfHarmonic,
                                   ModelUnsupported, anti_box_potential, aq_box_potential,
-                                  as_potential, boundary_asymptotic_ratio, domain,
-                                  evaluate_potential, half_ho_eigenfunction,
-                                  half_ho_eigenvalue, half_ho_potential, kinetic_coefficient,
-                                  singularity_metadata)
+                                  boundary_asymptotic_ratio, evaluate_potential,
+                                  half_ho_eigenfunction, half_ho_eigenvalue, half_ho_potential,
+                                  kinetic_coefficient, singularity_metadata)
 
 GEOM = BoxGeometry(1.0, 1.0)
 
@@ -147,23 +146,11 @@ class TestModelPlumbing:
         assert kinetic_coefficient(AqBox(BoxGeometry(1.0, 2.0))) == 4.0
         assert kinetic_coefficient(HalfHarmonic(2.0)) == 2.0
 
-    def test_domains(self):
-        assert domain(AqBox(GEOM)) == ((-1.0, 1.0),)
-        assert domain(HalfHarmonic(1.0)) == ((0.0, math.inf),)
-        assert domain(AntiBox(GEOM)) == ((-math.inf, -1.0), (1.0, math.inf))
-
     def test_evaluate_dispatch(self):
         assert evaluate_potential(CqBox(GEOM), 0.3) == 0.0
         assert evaluate_potential(AqBox(GEOM), 0.0) == 1.0
         assert evaluate_potential(HalfHarmonic(1.0), 1.0) == 0.875
         assert evaluate_potential(AntiBox(GEOM, 1.0), 2.0) == 1.5
-
-    def test_as_potential_bundle(self):
-        pot = as_potential(AqBox(GEOM))
-        assert pot.singular_endpoints == ((-1.0, 0.75, -2), (1.0, 0.75, -2))
-        assert pot.evaluate(0.0) == 1.0
-        flat = as_potential(CqBox(GEOM))
-        assert flat.singular_endpoints == ()
 
     def test_positivity_all_variants(self):
         xs_box = np.linspace(-0.99, 0.99, 101)

@@ -8,7 +8,7 @@ from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import AqBox, CqBox, HalfHarmonic, ModelUnsupported, evaluate_potential
 from boxaffine.ritz import (BasisSpec, GeneralizedEigProblem, NoConvergence,
                             NotPositiveDefinite, assemble_matrices, basis_for, compute_spectrum,
-                            convergence_sweep, matrix_to_csv, solve_generalized_symmetric)
+                            convergence_sweep, solve_generalized_symmetric)
 
 GEOM = BoxGeometry(1.0, 1.0)
 AQ = AqBox(GEOM)
@@ -48,11 +48,6 @@ class TestAssembly:
         prob = assemble_matrices(AQ, BasisSpec(1, 1.5, GEOM))
         e0 = compute_spectrum(AQ, 32).eigenvalues[0]
         assert prob.H[0, 0] / prob.S[0, 0] >= e0
-
-    def test_rule_order_enforced(self):
-        from boxaffine.quadrature import gauss_legendre
-        with pytest.raises(ValueError):
-            assemble_matrices(CQ, BasisSpec(8, 1.0, GEOM), gauss_legendre(10))
 
     def test_unsupported_models(self):
         with pytest.raises(ModelUnsupported):
@@ -234,11 +229,3 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError):
             convergence_sweep(AQ, (16, 8), 4)
 
-
-def test_matrix_csv_roundtrip():
-    m = np.array([[1.0, 2.5], [2.5, 4.0]])
-    text = matrix_to_csv(m)
-    lines = text.strip().split("\n")
-    assert lines[0] == "0,1"
-    parsed = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
-    assert np.array_equal(parsed, m)
