@@ -16,7 +16,7 @@ from .piecewise import (DeltaTerm, Piece, PiecewiseSmooth, WeakDerivative,
 from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, anti_box_potential,
                          aq_box_potential, boundary_asymptotic_ratio, evaluate_potential,
                          half_ho_eigenfunction, half_ho_eigenvalue, half_ho_potential,
-                         kinetic_coefficient, singularity_metadata)
+                         singularity_metadata)
 from .quadrature import QuadratureRule, gauss_legendre, laguerre_eval
 from .ritz import (BasisSpec, GeneralizedEigProblem, SpectrumResult, assemble_matrices,
                    compute_spectrum, convergence_sweep, solve_generalized_symmetric)
@@ -34,7 +34,7 @@ __all__ = [
     "CqBox", "AqBox", "HalfHarmonic", "AntiBox",
     "aq_box_potential", "half_ho_potential", "anti_box_potential",
     "boundary_asymptotic_ratio", "singularity_metadata", "evaluate_potential",
-    "kinetic_coefficient", "half_ho_eigenvalue", "half_ho_eigenfunction",
+    "half_ho_eigenvalue", "half_ho_eigenfunction",
     "QuadratureRule", "gauss_legendre", "laguerre_eval",
     "BasisSpec", "GeneralizedEigProblem", "SpectrumResult", "assemble_matrices",
     "solve_generalized_symmetric", "compute_spectrum", "convergence_sweep",

@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -27,7 +27,8 @@ from .quadrature import ConvergenceFailure
 
 SCHEMA_VERSION = "boxaffine/1"
 AGREEMENT_THRESHOLD = 1e-5
-MODEL_NAMES = ("cq-box", "aq-box", "half-ho", "anti-box")
+MODELS = {"cq-box": CqBox, "aq-box": AqBox, "half-ho": HalfHarmonic, "anti-box": AntiBox}
+MODEL_NAMES = tuple(MODELS)
 METHODS = ("rayleigh-ritz", "shooting", "both")
 MAX_LEVELS = 12
 # accepted --b and --hbar: inside it hbar^2/b^2 and the float powers of b and
@@ -102,7 +103,7 @@ _DEFAULTS = {
     "grid-size": 20001,
     "tol": 1e-8,
     "method": None,  # resolved per model
-    "format": "json",
+    "format": None,  # resolved per command: csv for `potential`, json otherwise
     "out": None,
     "target": "toy",
     "n": 1,
@@ -136,16 +137,10 @@ class RunConfig:
     dump_psi: Optional[str] = None
 
     def model(self):
-        geom = BoxGeometry(self.b, self.hbar)
-        if self.model_name == "cq-box":
-            return CqBox(geom)
-        if self.model_name == "aq-box":
-            return AqBox(geom)
-        if self.model_name == "half-ho":
-            return HalfHarmonic(self.hbar)
-        if self.model_name == "anti-box":
-            return AntiBox(geom, self.W)
-        raise UsageError(f"unknown model {self.model_name!r}; choose from {', '.join(MODEL_NAMES)}")
+        """The named model, each of its fields filled from this config."""
+        values = {"geom": BoxGeometry(self.b, self.hbar), "hbar": self.hbar, "W": self.W}
+        cls = MODELS[self.model_name]
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _build_parser():
@@ -166,14 +161,16 @@ def _build_parser():
                        help="shooting search width, in units of hbar^2/b^2 (boxes) "
                             "or hbar (half-ho); in [1e-10, 1e-2]")
         p.add_argument("--method", choices=METHODS, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=None,
+                       help="report format; `potential` writes csv only")
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="flat JSON file; flags override its keys")
 
     p = sub.add_parser("spectrum", help="solve for the lowest levels")
     add_common(p)
     p.add_argument("--dump-psi", default=None, metavar="DIR",
-                   help="also write shooting wavefunctions as DIR/psi_<k>.csv")
+                   help="also write shooting wavefunctions as DIR/psi_<k>.csv "
+                        "(method shooting or both)")
     p = sub.add_parser("potential", help="dump (x, V) samples as CSV")
     add_common(p)
     p.add_argument("--x-min", type=float, default=None)
@@ -228,6 +225,8 @@ def parse_config(argv):
     if method is not None and method not in METHODS:
         raise UsageError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
     fmt = pick("format")
+    if fmt is None:
+        fmt = "csv" if args.command == "potential" else "json"
     if fmt not in ("json", "csv"):
         raise UsageError(f"--format must be json or csv, got {fmt!r}")
 
@@ -297,6 +296,10 @@ def parse_config(argv):
     if (cfg.command == "spectrum" and cfg.model_name in ("cq-box", "aq-box")
             and cfg.method != "shooting" and cfg.levels > cfg.basis_size):
         raise UsageError("--levels must be <= --basis-size when Rayleigh-Ritz runs")
+    if cfg.command == "spectrum" and cfg.dump_psi and cfg.method == "rayleigh-ritz":
+        raise UsageError("--dump-psi writes shooting wavefunctions; use --method shooting or both")
+    if cfg.command == "potential" and cfg.fmt == "json":
+        raise UsageError("--format json: `potential` writes CSV only")
     return cfg
 
 
@@ -329,6 +332,16 @@ def _base_report(cfg):
     }
 
 
+@dataclass(frozen=True)
+class ShootingLevel:
+    """One converged shooting level, fields named as in ritz.LevelDiagnostics."""
+
+    energy: float
+    parity: Optional[str]
+    node_count: int
+    boundary_exponent: float
+
+
 def run_spectrum(cfg):
     """Solve the configured model; returns (report, exit_code)."""
     model = cfg.model()
@@ -354,12 +367,8 @@ def run_spectrum(cfg):
         for k in range(cfg.levels):
             energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid=grid)
             shot = shooting.numerov_integrate(model, energy, grid)
-            sh_levels.append({
-                "energy": energy,
-                "node_count": shot.node_count,
-                "parity": shot.parity,
-                "boundary_exponent": shooting.boundary_exponent_probe(model, energy),
-            })
+            sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
+                                           shooting.boundary_exponent_probe(model, energy)))
             if cfg.dump_psi:
                 path = os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv")
                 with open(path, "w") as fh:
@@ -371,24 +380,17 @@ def run_spectrum(cfg):
     levels = []
     deltas = []
     for k in range(cfg.levels):
-        rec = {"index": index_base + k}
-        if rr is not None:
-            diag = rr.levels[k]
-            rec.update(energy=float(diag.energy), parity=diag.parity,
-                       node_count=diag.node_count,
-                       boundary_exponent=float(diag.boundary_exponent))
-        if sh_levels is not None:
-            s = sh_levels[k]
-            if rr is None:
-                rec.update(energy=float(s["energy"]), parity=s["parity"],
-                           node_count=s["node_count"],
-                           boundary_exponent=float(s["boundary_exponent"]))
-            else:
-                rec["energy_rayleigh_ritz"] = float(rr.levels[k].energy)
-                rec["energy_shooting"] = float(s["energy"])
-                delta = abs(s["energy"] - rr.levels[k].energy) / abs(rr.levels[k].energy)
-                rec["relative_delta"] = float(delta)
-                deltas.append(delta)
+        # Ritz fills the level where it ran; `both` adds the comparison
+        level = rr.levels[k] if rr is not None else sh_levels[k]
+        rec = {"index": index_base + k, "energy": float(level.energy), "parity": level.parity,
+               "node_count": level.node_count,
+               "boundary_exponent": float(level.boundary_exponent)}
+        if rr is not None and sh_levels is not None:
+            e_rr, e_sh = rr.levels[k].energy, sh_levels[k].energy
+            delta = abs(e_sh - e_rr) / abs(e_rr)
+            rec.update(energy_rayleigh_ritz=float(e_rr), energy_shooting=float(e_sh),
+                       relative_delta=float(delta))
+            deltas.append(delta)
         levels.append(rec)
     report["levels"] = levels
 

@@ -74,8 +74,8 @@ class PiecewiseSmooth:
         """Interior piece boundaries, strictly increasing."""
         return tuple(p.hi for p in self.pieces[:-1])
 
-    def _evaluate(self, x, which):
-        """Vectorized evaluation of f/df/d2f with zero extension outside."""
+    def __call__(self, x):
+        """Vectorized evaluation of f with zero extension outside."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xv = np.atleast_1d(x)
@@ -87,22 +87,10 @@ class PiecewiseSmooth:
         idx[xv == hi] = len(self.pieces) - 1
         inside = (xv >= lo) & (xv <= hi)
         for i, p in enumerate(self.pieces):
-            fn = (p.f, p.df, p.d2f)[which]
-            if fn is None:
-                raise ValueError("piece lacks the requested derivative evaluator")
             mask = inside & (idx == i)
             if mask.any():
-                out[mask] = fn(xv[mask])
+                out[mask] = p.f(xv[mask])
         return float(out[0]) if scalar else out
-
-    def __call__(self, x):
-        return self._evaluate(x, 0)
-
-    def derivative(self, x):
-        return self._evaluate(x, 1)
-
-    def second_derivative(self, x):
-        return self._evaluate(x, 2)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 (AqBox) whose strength near either wall is
 boundary behavior of the half-line oscillator with the (3/4) hbar^2 / x^2
 barrier (HalfHarmonic).  AntiBox is the exterior |x| > b with an added W/|x|
 pull toward the walls; it is evaluated but never solved here.
+
+Each solvable model declares, once, what both solvers read: the kinetic
+coefficient ``kappa`` of H = -kappa psi'' + V psi, its ``energy_scale`` and
+``length_scale``, the ``ends`` of its solvable interval, the kind of wall at
+each (``walls``) and whether it is mirror-``symmetric``.
 """
 
 import math
@@ -26,33 +31,103 @@ class ModelUnsupported(ValueError):
     """Operation not defined for this model variant."""
 
 
-@dataclass(frozen=True)
-class CqBox:
-    geom: BoxGeometry = BoxGeometry()
+# The kind of each end of a model's solvable interval.  An inverse-square
+# wall (3/4) kappa / s^2 at distance s forces psi ~ s^{3/2} there.
+DIRICHLET = "dirichlet"
+INVERSE_SQUARE = "inverse-square"
+
+
+class _Box:
+    """The box (-b, b): kappa = hbar^2 (2m = 1), energies in hbar^2/b^2."""
+
+    symmetric = True
+
+    @property
+    def kappa(self):
+        return self.geom.hbar**2
+
+    @property
+    def energy_scale(self):
+        return self.geom.hbar**2 / self.geom.b**2
+
+    @property
+    def length_scale(self):
+        return self.geom.b
+
+    @property
+    def ends(self):
+        return (-self.geom.b, self.geom.b)
 
 
 @dataclass(frozen=True)
-class AqBox:
+class CqBox(_Box):
     geom: BoxGeometry = BoxGeometry()
+    walls = (DIRICHLET, DIRICHLET)
+
+    def potential(self, x):
+        # zero inside; the walls are boundary conditions, so the closed
+        # interval is fine
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) > self.geom.b):
+            raise DomainError("CqBox potential defined on |x| <= b")
+        out = np.zeros_like(x)
+        return float(out) if out.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class AqBox(_Box):
+    geom: BoxGeometry = BoxGeometry()
+    walls = (INVERSE_SQUARE, INVERSE_SQUARE)
+
+    def potential(self, x):
+        return aq_box_potential(x, self.geom)
 
 
 @dataclass(frozen=True)
 class HalfHarmonic:
+    """The half line, truncated at 12 sqrt(hbar), far beyond where the
+    Gaussian tail matters, by a Dirichlet end."""
+
     hbar: float = 1.0
+    walls = (INVERSE_SQUARE, DIRICHLET)
+    symmetric = False
 
     def __post_init__(self):
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError("hbar must be positive and finite")
+
+    @property
+    def kappa(self):
+        return 0.5 * self.hbar**2
+
+    @property
+    def energy_scale(self):
+        return self.hbar
+
+    @property
+    def length_scale(self):
+        return math.sqrt(self.hbar)
+
+    @property
+    def ends(self):
+        return (0.0, 12.0 * self.length_scale)
+
+    def potential(self, x):
+        return half_ho_potential(x, self.hbar)
 
 
 @dataclass(frozen=True)
 class AntiBox:
     geom: BoxGeometry = BoxGeometry()
     W: float = 0.0
+    ends = walls = ()  # evaluated only: no solvable interval
 
     def __post_init__(self):
         if not (self.W >= 0 and math.isfinite(self.W)):
             raise ValueError("W must be >= 0 and finite")
+
+    def potential(self, x):
+        return anti_box_potential(x, self.geom, self.W)
 
 
 def aq_box_potential(x, geom=BoxGeometry()):
@@ -102,48 +177,24 @@ def boundary_asymptotic_ratio(x, geom=BoxGeometry()):
 
 
 def singularity_metadata(model):
-    """Declared inverse-square singular endpoints (location, coefficient, -2).
+    """Inverse-square singular endpoints (location, coefficient, -2), read off
+    the declared walls.
 
-    Coefficients are stated in the variant's own normalization: the AqBox walls
-    carry (3/4) hbar^2, the half-line origin (3/8) hbar^2 because of the
-    overall 1/2 in that Hamiltonian; the coefficient-to-kinetic ratio, and with
-    it the s^{3/2} boundary exponent, is the same in both.
+    Each wall carries (3/4) kappa: (3/4) hbar^2 at the AqBox walls, (3/8)
+    hbar^2 at the half-line origin because of the overall 1/2 in that
+    Hamiltonian.  The coefficient-to-kinetic ratio, and with it the s^{3/2}
+    boundary exponent, is the same in both.
     """
-    if isinstance(model, AqBox):
-        b, hbar = model.geom.b, model.geom.hbar
-        c = 0.75 * hbar**2
-        return ((-b, c, -2), (b, c, -2))
-    if isinstance(model, HalfHarmonic):
-        return ((0.0, 0.375 * model.hbar**2, -2),)
-    raise ModelUnsupported(f"no singularity metadata for {type(model).__name__}")
-
-
-def kinetic_coefficient(model):
-    """Coefficient kappa of -psi'' in H = -kappa psi'' + V psi, per variant."""
-    if isinstance(model, (CqBox, AqBox, AntiBox)):
-        return model.geom.hbar**2
-    if isinstance(model, HalfHarmonic):
-        return 0.5 * model.hbar**2
-    raise ModelUnsupported(f"unknown model {type(model).__name__}")
+    ends = tuple((x, 0.75 * model.kappa, -2)
+                 for x, wall in zip(model.ends, model.walls) if wall == INVERSE_SQUARE)
+    if not ends:
+        raise ModelUnsupported(f"no singularity metadata for {type(model).__name__}")
+    return ends
 
 
 def evaluate_potential(model, x):
     """V(x) for any variant (zero inside the flat box)."""
-    if isinstance(model, CqBox):
-        # flat box: zero potential, walls are boundary conditions, so the
-        # closed interval is fine
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > model.geom.b):
-            raise DomainError("CqBox potential defined on |x| <= b")
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
-    if isinstance(model, AqBox):
-        return aq_box_potential(x, model.geom)
-    if isinstance(model, HalfHarmonic):
-        return half_ho_potential(x, model.hbar)
-    if isinstance(model, AntiBox):
-        return anti_box_potential(x, model.geom, model.W)
-    raise ModelUnsupported(f"unknown model {type(model).__name__}")
+    return model.potential(x)
 
 
 def half_ho_eigenvalue(k, hbar=1.0):

@@ -77,10 +77,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @property
-    def order(self):
-        return self.nodes.size
-
     def mapped(self, lo, hi):
         """Nodes and weights transplanted to the interval (lo, hi)."""
         half = 0.5 * (hi - lo)

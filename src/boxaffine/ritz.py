@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .boxmodes import BoxGeometry
-from .potentials import AqBox, CqBox, ModelUnsupported, evaluate_potential, kinetic_coefficient
+from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
 from .quadrature import gauss_legendre, legendre_second_derivative_table, legendre_table
 from .shooting import count_nodes
 
@@ -43,12 +43,11 @@ class BasisSpec:
 
 
 def basis_for(model, n):
-    """Basis matched to the model's wall behavior."""
-    if isinstance(model, AqBox):
-        return BasisSpec(n, 1.5, model.geom)
-    if isinstance(model, CqBox):
-        return BasisSpec(n, 1.0, model.geom)
-    raise ModelUnsupported(f"no finite-interval basis for {type(model).__name__}")
+    """Basis matched to the model's walls, alike at both ends of the box:
+    weight exponent 3/2 at inverse-square walls, 1 at Dirichlet ones."""
+    if model.walls not in ((DIRICHLET, DIRICHLET), (INVERSE_SQUARE, INVERSE_SQUARE)):
+        raise ModelUnsupported(f"no finite-interval basis for {type(model).__name__}")
+    return BasisSpec(n, 1.5 if model.walls[0] == INVERSE_SQUARE else 1.0, model.geom)
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,9 @@ def assemble_matrices(model, basis=None):
     cancelled against the potential's denominator, so every integrand is a
     polynomial and the 2N + 8 point rule is exact up to rounding.
     """
-    if not isinstance(model, (CqBox, AqBox)):
-        raise ModelUnsupported(f"assembly supports CqBox/AqBox, got {type(model).__name__}")
+    default = basis_for(model, 32)  # raises ModelUnsupported off the two boxes
     if basis is None:
-        basis = basis_for(model, 32)
+        basis = default
     rule = gauss_legendre(2 * basis.size + 8)
 
     b, hbar = basis.geom.b, basis.geom.hbar
@@ -99,9 +97,8 @@ def assemble_matrices(model, basis=None):
     t, wq = rule.nodes, rule.weights * b  # x = b t
     chi, dchi = _basis_tables(basis, t)
 
-    kappa = kinetic_coefficient(model)
-    H = kappa * np.einsum("i,ji,ki->jk", wq, dchi, dchi)
-    if isinstance(model, AqBox):
+    H = model.kappa * np.einsum("i,ji,ki->jk", wq, dchi, dchi)
+    if model.walls[0] == INVERSE_SQUARE:  # the aq-box potential
         x = b * t
         om = (b * b) * (1.0 - t * t)
         # V * chi_j * chi_k = hbar^2 (2x^2 + b^2) (b^2 - x^2)^{2w-2} P_j P_k * ...
@@ -200,7 +197,7 @@ def compute_spectrum(model, n_basis=32, n_diagnostics=None):
     if n_diagnostics is None:
         n_diagnostics = min(n_basis, 12)
     b = basis.geom.b
-    kappa = kinetic_coefficient(model)
+    kappa = model.kappa
 
     grid = np.linspace(-b * (1.0 - 1e-6), b * (1.0 - 1e-6), 2048)
     chi_g, _, d2chi_g = _basis_tables(basis, grid / b, with_second=True)

@@ -1,8 +1,9 @@
 """Numerov shooting oracle for the box and half-line models.
 
-Integrates psi'' = (V - E) psi / kappa from both ends with wall-appropriate
-launches (Dirichlet for the flat box, leading-power s^{3/2} starts at
-inverse-square walls), matches at the potential minimum, and locates
+Integrates psi'' = (V - E) psi / kappa from both ends of the model's declared
+interval, launched as each end's wall asks (Dirichlet pairs, leading-power
+s^{3/2} starts at inverse-square walls), matches at the centre of a
+mirror-symmetric model or else at the potential minimum, and locates
 eigenvalues by node-count bracketing plus a Brent root of the Pruefer-
 normalised matching Wronskian -- the pole-free form of the log-derivative
 mismatch.  Fully independent of the variational solver, which it
@@ -17,8 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsupported,
-                         evaluate_potential, kinetic_coefficient)
+from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
 
 
 class BracketFailure(RuntimeError):
@@ -61,7 +61,8 @@ class MatchResult:
     """One two-sided shot at a trial energy.
 
     ``psi`` is the assembled solution on ``xs``, max-normalised.  ``parity``
-    is the sign of its mirror overlap, ``None`` on the half line.
+    is the sign of its mirror overlap, ``None`` for a model that is not
+    mirror-symmetric (the half line).
     """
 
     energy: float
@@ -71,46 +72,23 @@ class MatchResult:
     psi: np.ndarray
 
 
-def energy_scale(model):
-    """Natural energy unit of the variant (hbar^2/b^2 for boxes, hbar for the
-    half-line oscillator)."""
-    if isinstance(model, (CqBox, AqBox)):
-        return model.geom.hbar**2 / model.geom.b**2
-    if isinstance(model, HalfHarmonic):
-        return model.hbar
-    raise ModelUnsupported(f"no shooting support for {type(model).__name__}")
-
-
-def length_scale(model):
-    if isinstance(model, (CqBox, AqBox)):
-        return model.geom.b
-    if isinstance(model, HalfHarmonic):
-        return math.sqrt(model.hbar)
-    raise ModelUnsupported(f"no shooting support for {type(model).__name__}")
-
-
-EPS_FRAC = 1e-6  # singular-wall offset, in units of the domain scale
+EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
 E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
 
 
 def default_grid(model, size=20001):
-    """Integration grid matched to the variant's domain.
+    """Integration grid over the model's declared ends.
 
-    Singular walls are offset by eps = EPS_FRAC * (domain scale); the
-    half-line oscillator is truncated at 12 sqrt(hbar), far beyond where the
-    Gaussian tail matters.
+    An inverse-square wall is offset inward by eps = EPS_FRAC * length_scale;
+    a Dirichlet end is a grid point.
     """
-    if isinstance(model, AntiBox):
-        raise ModelUnsupported("AntiBox has no shooting support")
-    scale = length_scale(model)
-    eps = EPS_FRAC * scale
-    if isinstance(model, CqBox):
-        b = model.geom.b
-        return ShootingGrid(-b, b, size, 0.0)
-    if isinstance(model, AqBox):
-        b = model.geom.b
-        return ShootingGrid(-b + eps, b - eps, size, eps)
-    return ShootingGrid(eps, 12.0 * scale, size, eps)
+    if not model.walls:
+        raise ModelUnsupported(f"{type(model).__name__} has no shooting support")
+    eps = EPS_FRAC * model.length_scale
+    (lo, hi), (lo_wall, hi_wall) = model.ends, model.walls
+    return ShootingGrid(lo + eps if lo_wall == INVERSE_SQUARE else lo,
+                        hi - eps if hi_wall == INVERSE_SQUARE else hi, size,
+                        eps if INVERSE_SQUARE in model.walls else 0.0)
 
 
 _RESCALE_EVERY = 512  # Numerov steps between overflow checks
@@ -178,24 +156,23 @@ def count_nodes(psi):
     return int(np.count_nonzero(np.diff(signs) != 0))
 
 
-def _launch(model, side, s_values):
-    """Initial psi values and the recurrence start index for one end.
+def _launch(wall, s_values):
+    """Initial psi values and the recurrence start index at one end, from
+    the distances s of the grid points to its wall, nearest first.
 
-    Regular walls start from the Dirichlet pair (0, h).  Inverse-square walls
-    plant the leading power s^{3/2} on the first three points and start the
+    Dirichlet ends start from the pair (0, h).  Inverse-square walls plant
+    the leading power s^{3/2} on the first three points and start the
     recurrence there, past the region where h^2 g / 12 is large.
     """
-    singular = isinstance(model, AqBox) or (isinstance(model, HalfHarmonic) and side == "left")
-    if singular:
+    if wall == INVERSE_SQUARE:
         return np.power(s_values[:3], 1.5), 2
-    h = s_values[1] - s_values[0]
-    return np.array([0.0, h]), 1
+    return np.array([0.0, s_values[1] - s_values[0]]), 1
 
 
 def _numerov_t(model, E, grid, V):
     """T_i = h^2 g_i / 12 at trial energy E, g = (V - E) / kappa."""
     h = grid.spacing
-    return (h * h / 12.0) * ((V - E) / kinetic_coefficient(model))
+    return (h * h / 12.0) * ((V - E) / model.kappa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,13 +199,11 @@ def _setup(model, grid):
     xs.flags.writeable = False
     V.flags.writeable = False
     n = xs.size
-    m = int(np.argmin(V)) if isinstance(model, HalfHarmonic) else int(np.argmin(np.abs(xs)))
+    # match at the centre of a mirror-symmetric model, else at the V minimum
+    m = int(np.argmin(np.abs(xs))) if model.symmetric else int(np.argmin(V))
     m = min(max(m, 3), n - 4)
-    left = _launch(model, "left", xs - xs[0] + grid.eps)
-    if isinstance(model, HalfHarmonic):
-        right = (np.array([0.0, grid.spacing]), 1)  # truncated Gaussian tail
-    else:
-        right = _launch(model, "right", ((xs[-1] - xs) + grid.eps)[::-1])
+    left = _launch(model.walls[0], xs - xs[0] + grid.eps)
+    right = _launch(model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
     return _Setup(model, grid, xs, V, m, left, right, {})
 
 
@@ -285,7 +260,7 @@ def _wronskian(setup, E):
     psi_l = _sweep_left(setup, T, m + 2)
     psi_r = _sweep_right(setup, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
     two_h = 2.0 * grid.spacing
-    k = math.sqrt(abs(E - float(setup.V[m])) / kinetic_coefficient(model)) or 1.0
+    k = math.sqrt(abs(E - float(setup.V[m])) / model.kappa) or 1.0
     l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
     r0, dr = float(psi_r[1]), float(psi_r[2] - psi_r[0]) / two_h
     amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
@@ -361,25 +336,20 @@ def _shoot(model, E, grid):
     # small gap keeps the genuine sign change and ignores the matching jitter
     gapped = np.concatenate([assembled[: m - 3], assembled[m + 4:]])
     psi = assembled / np.max(np.abs(assembled))
-    if isinstance(model, HalfHarmonic):
-        parity = None
-    else:
-        parity = "even" if float(psi @ psi[::-1]) >= 0 else "odd"
+    parity = ("even" if float(psi @ psi[::-1]) >= 0 else "odd") if model.symmetric else None
     return MatchResult(E, count_nodes(gapped), parity, setup.xs, psi)
 
 
 def numerov_integrate(model, E, grid=None):
     """Two-sided shot at trial energy E: the node count, parity and
     max-normalised values of the assembled solution."""
-    if isinstance(model, AntiBox):
-        raise ModelUnsupported("AntiBox has no shooting support")
     if grid is None:
         grid = default_grid(model)
     return _shoot(model, E, grid)
 
 
 def eigenvalue_search(model, k, tol=1e-8, grid=None):
-    """k-th eigenvalue (k interior nodes), to width tol * energy_scale(model).
+    """k-th eigenvalue (k interior nodes), to width tol * model.energy_scale.
 
     ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
     and hbar for the half-line oscillator, so every scale is resolved alike.
@@ -399,7 +369,7 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
     if grid is None:
         grid = default_grid(model)
     setup = _setup(model, grid)
-    scale = energy_scale(model)
+    scale = model.energy_scale
     width = tol * scale
     e_max = E_MAX_FACTOR * scale
 
@@ -449,34 +419,28 @@ def wavefunction(model, E, grid=None):
 def boundary_exponent_probe(model, E, grid=None):
     """Fitted slope of log|psi| vs log s near a wall, at a converged energy.
 
-    Fits the window s in [1e-4, 1e-2] * scale next to the wall (the right
-    wall of a box, x = 0 on the half line).  The solution there is the
-    branch launched from that wall, so only that branch is swept, from the
-    wall across the window; the assembled two-sided solution differs from it
-    by a constant factor, which the slope does not see.  Integration runs
-    away from the wall, the direction in which the regular branch is stable,
-    so the window slope is governed by the equation over two decades of s.
+    Fits the window s in [1e-4, 1e-2] * length_scale next to the right end,
+    or next to the left one where only that end is an inverse-square wall
+    (x = 0 on the half line).  The solution there is the branch launched
+    from that wall, so only that branch is swept, from the wall across the
+    window; the assembled two-sided solution differs from it by a constant
+    factor, which the slope does not see.  Integration runs away from the
+    wall, the direction in which the regular branch is stable, so the window
+    slope is governed by the equation over two decades of s.
     Expected 3/2 at inverse-square walls, 1 at hard walls.
     """
     if grid is None:
         grid = default_grid(model, size=40001)  # dense enough for >= 20 fit points
-    scale = length_scale(model)
-    xs = grid.points
-    if isinstance(model, HalfHarmonic):
-        side = "left"
-        s = xs.copy()  # wall at x = 0
-        launch_s = xs - xs[0] + grid.eps
-    else:
-        side = "right"
-        wall, xs = xs[-1], xs[::-1]  # right wall first
-        s = (wall + grid.eps) - xs
-        launch_s = (wall - xs) + grid.eps
+    scale = model.length_scale
+    step = 1 if model.walls == (INVERSE_SQUARE, DIRICHLET) else -1
+    xs, wall = grid.points[::step], model.walls[::step][0]  # from the probed end inward
+    s = np.abs(xs - (xs[0] - step * grid.eps))  # distance from the wall
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     if np.count_nonzero(window) < 20:
         raise FitFailure(f"only {np.count_nonzero(window)} points in the fit window")
     stop = int(np.flatnonzero(window)[-1]) + 1
     T = _numerov_t(model, E, grid, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
-    start, i0 = _launch(model, side, launch_s)
+    start, i0 = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
     psi = np.zeros(stop)
     psi[:start.size] = start
     _numerov(T, psi, i0)

@@ -171,6 +171,14 @@ class TestSpectrum:
             vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
             assert np.max(np.abs(vals[:, 1])) == pytest.approx(1.0)
 
+    def test_dump_psi_without_shooting_is_usage_error(self, capsys, tmp_path):
+        # Ritz has no shooting wavefunctions to write; the flag must not be ignored
+        dest = tmp_path / "waves"
+        code, out, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--method",
+                                 "rayleigh-ritz", "--levels", "2", "--dump-psi", str(dest))
+        assert code == 2 and "--dump-psi" in err
+        assert out == "" and not dest.exists()
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--model", "cq-box", "--levels", "2",
                                "--method", "rayleigh-ritz", "--format", "csv")
@@ -298,6 +306,12 @@ class TestPotential:
         code, out, _ = run_cli(capsys, "potential", "--model", "half-ho", "--points", "10")
         assert code == 0
         assert len(out.strip().split("\n")) == 11
+
+    def test_json_format_is_usage_error(self, capsys):
+        # `potential` writes CSV only; an explicit --format json must not be ignored
+        code, out, err = run_cli(capsys, "potential", "--model", "aq-box", "--format", "json")
+        assert code == 2 and "--format" in err and out == ""
+        assert cli.parse_config(["potential"]).fmt == "csv"
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "pot.csv"

@@ -5,11 +5,11 @@ import pytest
 from scipy import integrate
 
 from boxaffine.boxmodes import BoxGeometry
-from boxaffine.potentials import (AntiBox, AqBox, CqBox, DomainError, HalfHarmonic,
-                                  ModelUnsupported, anti_box_potential, aq_box_potential,
-                                  boundary_asymptotic_ratio, evaluate_potential,
+from boxaffine.potentials import (DIRICHLET, INVERSE_SQUARE, AntiBox, AqBox, CqBox, DomainError,
+                                  HalfHarmonic, ModelUnsupported, anti_box_potential,
+                                  aq_box_potential, boundary_asymptotic_ratio, evaluate_potential,
                                   half_ho_eigenfunction, half_ho_eigenvalue, half_ho_potential,
-                                  kinetic_coefficient, singularity_metadata)
+                                  singularity_metadata)
 
 GEOM = BoxGeometry(1.0, 1.0)
 
@@ -142,9 +142,23 @@ class TestSingularityMetadata:
 
 class TestModelPlumbing:
     def test_kinetic_coefficients(self):
-        assert kinetic_coefficient(CqBox(GEOM)) == 1.0
-        assert kinetic_coefficient(AqBox(BoxGeometry(1.0, 2.0))) == 4.0
-        assert kinetic_coefficient(HalfHarmonic(2.0)) == 2.0
+        assert CqBox(GEOM).kappa == 1.0
+        assert AqBox(BoxGeometry(1.0, 2.0)).kappa == 4.0
+        assert HalfHarmonic(2.0).kappa == 2.0
+
+    def test_declared_box_facts(self):
+        for model in (CqBox(BoxGeometry(2.0, 3.0)), AqBox(BoxGeometry(2.0, 3.0))):
+            assert (model.energy_scale, model.length_scale) == (2.25, 2.0)
+            assert model.ends == (-2.0, 2.0) and model.symmetric
+        assert CqBox(GEOM).walls == (DIRICHLET, DIRICHLET)
+        assert AqBox(GEOM).walls == (INVERSE_SQUARE, INVERSE_SQUARE)
+
+    def test_declared_half_line_facts(self):
+        model = HalfHarmonic(4.0)
+        assert (model.energy_scale, model.length_scale) == (4.0, 2.0)
+        assert model.ends == (0.0, 24.0) and not model.symmetric
+        assert model.walls == (INVERSE_SQUARE, DIRICHLET)
+        assert AntiBox(GEOM).walls == ()  # evaluated only, never solved
 
     def test_evaluate_dispatch(self):
         assert evaluate_potential(CqBox(GEOM), 0.3) == 0.0

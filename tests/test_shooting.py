@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from boxaffine import shooting
 from boxaffine.shooting import (BracketFailure, FitFailure, ShootingGrid, _brent, _launch,
                                 _numerov, _numerov_t, _onesided_nodes, _setup, _wronskian,
                                 boundary_exponent_probe, default_grid, eigenvalue_search,
-                                length_scale, numerov_integrate, wavefunction)
+                                numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -185,6 +186,26 @@ class TestEigenvalueSearch:
             exact = cq_eigenvalue(k + 1, GEOM)
             assert abs(e - exact) / exact < 1e-6
 
+    # the scaled levels are invariant: grid, wall offset, search start and
+    # width all follow the model's declared scales, so a wrong declaration
+    # shows as a scale-dependent level
+    @pytest.mark.parametrize("b, hbar", [(1e-3, 1.0), (10.0, 1e2), (1e3, 1e-3), (3.7, 0.2)])
+    @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
+    def test_box_scaling_law(self, cls, b, hbar):
+        got = [eigenvalue_search(cls(BoxGeometry(b, hbar)), k, tol=1e-10) * b * b / hbar**2
+               for k in range(6)]
+        assert got == pytest.approx(_unit_levels(cls(GEOM), 6), rel=1e-10)
+
+    @pytest.mark.parametrize("hbar", [1e-3, 0.37, 1e3])
+    def test_half_line_scaling_law(self, hbar):
+        got = [eigenvalue_search(HalfHarmonic(hbar), k, tol=1e-10) / hbar for k in range(5)]
+        assert got == pytest.approx(_unit_levels(HalfHarmonic(1.0), 5), rel=1e-10)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_levels(model, count):
+    return [eigenvalue_search(model, k, tol=1e-10) for k in range(count)]
+
 
 class TestBrent:
     def test_root_of_cosine(self):
@@ -239,7 +260,7 @@ def _exponent_reference(model, E, grid):
     # the full-grid fit: log|psi| of the assembled two-sided solution against
     # log s over the window s in [1e-4, 1e-2] * scale next to the wall
     xs, psi = wavefunction(model, E, grid)
-    scale = length_scale(model)
+    scale = model.length_scale
     s = xs.copy() if isinstance(model, HalfHarmonic) else (xs[-1] + grid.eps) - xs
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     return float(np.polyfit(np.log(s[window]), np.log(np.abs(psi[window])), 1)[0])
@@ -353,7 +374,7 @@ def test_kernel_matches_reference_loop(model):
     V = evaluate_potential(model, xs)
     for lo, hi in zip(levels[:-1], levels[1:]):
         T = _numerov_t(model, 0.5 * (lo + hi), grid, V)
-        start, i0 = _launch(model, "left", xs - xs[0] + grid.eps)
+        start, i0 = _launch(model.walls[0], xs - xs[0] + grid.eps)
         psi = np.zeros(xs.size)
         psi[:start.size] = start
         ref = _numerov_reference(T, psi.copy(), i0)
