@@ -100,11 +100,12 @@ _DEFAULTS = {
     "W": 0.0,
     "levels": 6,
     "basis-size": 32,
-    "grid-size": 20001,
+    "grid-size": 4001,
     "tol": 1e-8,
     "method": None,  # resolved per model
     "format": None,  # resolved per command: csv for `potential`, json otherwise
     "out": None,
+    "dump-psi": None,
     "target": "toy",
     "n": 1,
     "x-min": None,
@@ -143,48 +144,57 @@ class RunConfig:
         return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
+_FLAGS = {
+    "model": dict(choices=MODEL_NAMES),
+    "b": dict(type=float, help="box half-width"),
+    "hbar": dict(type=float),
+    "W": dict(type=float, help="anti-box pull strength"),
+    "levels": dict(type=int),
+    "basis-size": dict(type=int),
+    "grid-size": dict(type=int, help=f"shooting grid points, >= 1000 "
+                                     f"(default {_DEFAULTS['grid-size']})"),
+    "tol": dict(type=float, help="shooting search width, in units of hbar^2/b^2 (boxes) "
+                                 "or hbar (half-ho); in [1e-10, 1e-2]"),
+    "method": dict(choices=METHODS),
+    "format": dict(choices=("json", "csv"), help="report format; `potential` writes csv only"),
+    "out": dict(),
+    "dump-psi": dict(metavar="DIR", help="also write shooting wavefunctions as "
+                                         "DIR/psi_<k>.csv (method shooting or both)"),
+    "x-min": dict(type=float),
+    "x-max": dict(type=float),
+    "points": dict(type=int),
+    "target": dict(choices=("toy", "cq-eigenfunction")),
+    "n": dict(type=int, help="mode index for cq-eigenfunction"),
+    "sizes": dict(help="comma-separated ascending basis sizes"),
+}
+
+# each command is offered only the flags it reads, so a flag it would ignore
+# is a usage error; a --config file may set the same keys
+_COMMANDS = {
+    "spectrum": ("solve for the lowest levels",
+                 ("model", "b", "hbar", "levels", "basis-size", "grid-size", "tol", "method",
+                  "format", "out", "dump-psi")),
+    "potential": ("dump (x, V) samples as CSV",
+                  ("model", "b", "hbar", "W", "format", "out", "x-min", "x-max", "points")),
+    "check-derivatives": ("weak-derivative structure and mesh scaling",
+                          ("b", "hbar", "format", "out", "target", "n")),
+    "convergence": ("eigenvalues across basis sizes",
+                    ("model", "b", "hbar", "levels", "format", "out", "sizes")),
+    "validate": ("run the built-in acceptance suite", ()),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="boxaffine",
                                      description="Box spectra with flat or inverse-square walls: "
                                                  "two cross-validating solvers plus weak-derivative diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--model", choices=MODEL_NAMES, default=None)
-        p.add_argument("--b", type=float, default=None, help="box half-width")
-        p.add_argument("--hbar", type=float, default=None)
-        p.add_argument("--W", type=float, default=None, help="anti-box pull strength")
-        p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--basis-size", type=int, default=None)
-        p.add_argument("--grid-size", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None,
-                       help="shooting search width, in units of hbar^2/b^2 (boxes) "
-                            "or hbar (half-ho); in [1e-10, 1e-2]")
-        p.add_argument("--method", choices=METHODS, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="report format; `potential` writes csv only")
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None, help="flat JSON file; flags override its keys")
-
-    p = sub.add_parser("spectrum", help="solve for the lowest levels")
-    add_common(p)
-    p.add_argument("--dump-psi", default=None, metavar="DIR",
-                   help="also write shooting wavefunctions as DIR/psi_<k>.csv "
-                        "(method shooting or both)")
-    p = sub.add_parser("potential", help="dump (x, V) samples as CSV")
-    add_common(p)
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p = sub.add_parser("check-derivatives", help="weak-derivative structure and mesh scaling")
-    add_common(p)
-    p.add_argument("--target", choices=("toy", "cq-eigenfunction"), default=None)
-    p.add_argument("--n", type=int, default=None, help="mode index for cq-eigenfunction")
-    p = sub.add_parser("convergence", help="eigenvalues across basis sizes")
-    add_common(p)
-    p.add_argument("--sizes", default=None, help="comma-separated ascending basis sizes")
-    p = sub.add_parser("validate", help="run the built-in acceptance suite")
-    add_common(p)
+    for command, (help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in keys:
+            p.add_argument(f"--{key}", default=None, **_FLAGS[key])
+        if keys:
+            p.add_argument("--config", default=None, help="flat JSON file; flags override its keys")
     return parser
 
 
@@ -201,9 +211,9 @@ def parse_config(argv):
             raise UsageError(f"--config: cannot read {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("--config: file must hold a flat JSON object")
-        unknown = set(file_cfg) - set(_DEFAULTS)
+        unknown = set(file_cfg) - set(_COMMANDS[args.command][1])
         if unknown:
-            raise UsageError(f"--config: unknown keys {sorted(unknown)}")
+            raise UsageError(f"--config: keys {sorted(unknown)} are not read by `{args.command}`")
 
     def pick(key, convert=None):
         # flags come typed from argparse, so only a config-file value can fail
@@ -283,7 +293,7 @@ def parse_config(argv):
         x_max=pick("x-max", float),
         points=pick("points", int),
         sizes=sizes,
-        dump_psi=getattr(args, "dump_psi", None),
+        dump_psi=pick("dump-psi", str),
     )
 
     if cfg.command == "spectrum" and cfg.model_name == "anti-box":

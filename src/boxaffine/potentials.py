@@ -11,7 +11,10 @@ pull toward the walls; it is evaluated but never solved here.
 Each solvable model declares, once, what both solvers read: the kinetic
 coefficient ``kappa`` of H = -kappa psi'' + V psi, its ``energy_scale`` and
 ``length_scale``, the ``ends`` of its solvable interval, the kind of wall at
-each (``walls``) and whether it is mirror-``symmetric``.
+each (``walls``) and whether it is mirror-``symmetric``.  A model with
+inverse-square walls also declares ``wall_series``: the Taylor coefficients
+w_j of u^2 L^2 V / kappa in u = s / L at those walls, where s is the
+distance to the wall and L the length scale.  w_0 = 3/4 at every such wall.
 """
 
 import math
@@ -78,6 +81,9 @@ class CqBox(_Box):
 class AqBox(_Box):
     geom: BoxGeometry = BoxGeometry()
     walls = (INVERSE_SQUARE, INVERSE_SQUARE)
+    # (3 - 4u + 2u^2) / (2 - u)^2 = 3/4 + sum_{j>=1} (3j - 5) u^j / 2^{j+2} at
+    # either wall; 32 terms give it to rounding for u <= 1/2
+    wall_series = (0.75,) + tuple((3 * j - 5) / 2.0 ** (j + 2) for j in range(1, 32))
 
     def potential(self, x):
         return aq_box_potential(x, self.geom)
@@ -90,6 +96,7 @@ class HalfHarmonic:
 
     hbar: float = 1.0
     walls = (INVERSE_SQUARE, DIRICHLET)
+    wall_series = (0.75, 0.0, 0.0, 0.0, 1.0)  # 3/4 + u^4, exactly
     symmetric = False
 
     def __post_init__(self):

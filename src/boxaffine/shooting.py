@@ -1,13 +1,20 @@
 """Numerov shooting oracle for the box and half-line models.
 
 Integrates psi'' = (V - E) psi / kappa from both ends of the model's declared
-interval, launched as each end's wall asks (Dirichlet pairs, leading-power
-s^{3/2} starts at inverse-square walls), matches at the centre of a
+interval, launched as each end's wall asks, matches at the centre of a
 mirror-symmetric model or else at the potential minimum, and locates
 eigenvalues by node-count bracketing plus a Brent root of the Pruefer-
 normalised matching Wronskian -- the pole-free form of the log-derivative
 mismatch.  Fully independent of the variational solver, which it
 cross-checks.
+
+A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
+sweep plants the regular Frobenius solution s^{3/2} sum a_n u^n, with s the
+distance to the wall and u = s / length_scale (Bender and Orszag 1978,
+ch. 3), on every grid point with s < SERIES_FRAC * length_scale and starts
+the recurrence at the last of them.  Planting only the leading
+power would seed the irregular s^{-1/2} branch with an amplitude of order
+h^2 and cut Numerov from fourth to second order at the wall.
 """
 
 import functools
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dtbtrs, dtrtrs
 
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
 
@@ -74,6 +81,14 @@ class MatchResult:
 
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
 E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
+SERIES_FRAC = 0.05  # wall series region, in units of the length scale
+# Frobenius terms a sweep sums; up to the search ceiling the terms fall below
+# rounding within 38 (half-ho at 1e4 hbar)
+_SERIES_TERMS = 64
+# where E enters the recurrence (row n, column n - 2), and its right-hand side
+_W2_ENTRIES = (np.arange(2, _SERIES_TERMS), np.arange(_SERIES_TERMS - 2))
+_A0 = np.zeros(_SERIES_TERMS)
+_A0[0] = 1.0
 
 
 def default_grid(model, size=20001):
@@ -157,22 +172,69 @@ def count_nodes(psi):
 
 
 def _launch(wall, s_values):
-    """Initial psi values and the recurrence start index at one end, from
-    the distances s of the grid points to its wall, nearest first.
+    """Initial psi values at one end, from the distances s of the grid points
+    to its wall, nearest first; the recurrence starts at the last of them.
 
     Dirichlet ends start from the pair (0, h).  Inverse-square walls plant
-    the leading power s^{3/2} on the first three points and start the
-    recurrence there, past the region where h^2 g / 12 is large.
+    the leading power s^{3/2} alone on the first three points, past which
+    h^2 g / 12 is no longer large.  Only the exponent probe launches so: its
+    fit window lies inside the series region, where planting the series
+    would make the 3/2 exponent an input.
     """
     if wall == INVERSE_SQUARE:
-        return np.power(s_values[:3], 1.5), 2
-    return np.array([0.0, s_values[1] - s_values[0]]), 1
+        return np.power(s_values[:3], 1.5)
+    return np.array([0.0, s_values[1] - s_values[0]])
 
 
 def _numerov_t(model, E, grid, V):
     """T_i = h^2 g_i / 12 at trial energy E, g = (V - E) / kappa."""
     h = grid.spacing
     return (h * h / 12.0) * ((V - E) / model.kappa)
+
+
+@dataclass(frozen=True, eq=False)
+class _End:
+    """How sweeps from one end start, fixed per (model, grid).
+
+    ``base`` holds the start values at a Dirichlet end.  At an inverse-square
+    wall it holds s^{3/2} on the planted points, ``powers`` the powers u^n of
+    their u = s / length_scale, and ``recurrence`` the Frobenius recurrence
+    at E = 0; both are None at a Dirichlet end.  The recurrence starts at the
+    last start value.
+    """
+
+    base: np.ndarray
+    powers: Optional[np.ndarray] = None
+    recurrence: Optional[np.ndarray] = None
+
+
+def _end(model, wall, s_values):
+    """The launch at one end, from the distances s of the grid points to it,
+    nearest first."""
+    if wall == INVERSE_SQUARE:
+        s = s_values[:np.count_nonzero(s_values < SERIES_FRAC * model.length_scale)]
+        powers = (s / model.length_scale)[:, None] ** np.arange(_SERIES_TERMS)
+        return _End(np.power(s, 1.5), powers, _recurrence(model.wall_series))
+    return _End(_launch(wall, s_values))
+
+
+def _recurrence(wall_series):
+    """The Frobenius recurrence at an inverse-square wall, as a lower-
+    triangular system for the coefficients a_n of its regular solution.
+
+    With W(u) = u^2 L^2 (V - E) / kappa = sum w_j u^j and w_0 = 3/4, the
+    solution of psi'' = u^{-2} W psi regular at u = 0 is u^{3/2} sum a_n u^n,
+    where n (n + 2) a_n = sum_{j=1..n} w_j a_{n-j} and a_0 = 1.  Row n holds
+    n (n + 2) on the diagonal and -w_j at column n - j; row 0 fixes a_0.
+    E enters only through w_2, on the second subdiagonal, so this holds the
+    E = 0 system.
+    """
+    w = np.zeros(_SERIES_TERMS)
+    w[:len(wall_series)] = wall_series
+    n = np.arange(_SERIES_TERMS)
+    system = np.asfortranarray(-np.tril(w[np.subtract.outer(n, n)]))
+    system[n, n] = np.maximum(n * (n + 2), 1)
+    return system
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +247,8 @@ class _Setup:
     xs: np.ndarray
     V: np.ndarray
     match: int
-    left_start: tuple
-    right_start: tuple
+    left: _End
+    right: _End
     nodes: dict
 
 
@@ -202,26 +264,39 @@ def _setup(model, grid):
     # match at the centre of a mirror-symmetric model, else at the V minimum
     m = int(np.argmin(np.abs(xs))) if model.symmetric else int(np.argmin(V))
     m = min(max(m, 3), n - 4)
-    left = _launch(model.walls[0], xs - xs[0] + grid.eps)
-    right = _launch(model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
+    left = _end(model, model.walls[0], xs - xs[0] + grid.eps)
+    right = _end(model, model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
     return _Setup(model, grid, xs, V, m, left, right, {})
 
 
-def _sweep_left(setup, T, stop):
+def _start(setup, end, E):
+    """Start values of a sweep from ``end`` at trial energy E: at an
+    inverse-square wall, the wall series with its coefficients solved for E
+    by forward substitution (LAPACK dtrtrs)."""
+    if end.powers is None:
+        return end.base
+    system = end.recurrence.copy(order="F")
+    # those entries hold -w_2, and w_2 carries -E L^2 / kappa
+    system[_W2_ENTRIES] += E * setup.model.length_scale**2 / setup.model.kappa
+    coefficients, _ = dtrtrs(system, _A0, lower=1)
+    return end.base * (end.powers @ coefficients)
+
+
+def _sweep_left(setup, E, T, stop):
     """Left-to-right Numerov sweep over xs[:stop]."""
-    start, i0 = setup.left_start
+    start = _start(setup, setup.left, E)
     psi = np.zeros(stop)
     psi[:start.size] = start
-    return _numerov(T[:stop], psi, i0)
+    return _numerov(T[:stop], psi, start.size - 1)
 
 
-def _sweep_right(setup, T, stop):
+def _sweep_right(setup, E, T, stop):
     """Right-to-left Numerov sweep over xs[stop:], returned aligned with them."""
-    start, i0 = setup.right_start
+    start = _start(setup, setup.right, E)
     nr = T.size - stop
     psi = np.zeros(nr)
     psi[:start.size] = start
-    _numerov(np.ascontiguousarray(T[::-1][:nr]), psi, i0)
+    _numerov(np.ascontiguousarray(T[::-1][:nr]), psi, start.size - 1)
     return psi[::-1]
 
 
@@ -242,7 +317,7 @@ def _nodes(setup, E):
     count = setup.nodes.get(E)
     if count is None:
         T = _numerov_t(setup.model, E, setup.grid, setup.V)
-        count = setup.nodes[E] = _onesided_nodes(_sweep_left(setup, T, T.size), T)
+        count = setup.nodes[E] = _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
     return count
 
 
@@ -257,8 +332,8 @@ def _wronskian(setup, E):
     """
     model, grid, m = setup.model, setup.grid, setup.match
     T = _numerov_t(model, E, grid, setup.V)
-    psi_l = _sweep_left(setup, T, m + 2)
-    psi_r = _sweep_right(setup, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
+    psi_l = _sweep_left(setup, E, T, m + 2)
+    psi_r = _sweep_right(setup, E, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
     two_h = 2.0 * grid.spacing
     k = math.sqrt(abs(E - float(setup.V[m])) / model.kappa) or 1.0
     l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
@@ -321,8 +396,8 @@ def _shoot(model, E, grid):
     setup = _setup(model, grid)
     m = setup.match
     T = _numerov_t(model, E, grid, setup.V)
-    psi_l = _sweep_left(setup, T, m + 3)
-    psi_r = _sweep_right(setup, T, m - 2)  # psi_r[j] is at xs[m - 2 + j]
+    psi_l = _sweep_left(setup, E, T, m + 3)
+    psi_r = _sweep_right(setup, E, T, m - 2)  # psi_r[j] is at xs[m - 2 + j]
 
     # least-squares branch ratio over the 5-point overlap: stays correct
     # (value and sign) when the match value itself passes through zero
@@ -416,6 +491,33 @@ def wavefunction(model, E, grid=None):
     return shot.xs, shot.psi
 
 
+@dataclass(frozen=True, eq=False)
+class _Probe:
+    """What every exponent probe on one (model, grid) shares: V on the points
+    from the probed wall to the end of the fit window, the leading-power
+    launch, the window's mask over those points and its distances s."""
+
+    V: np.ndarray
+    start: np.ndarray
+    window: np.ndarray
+    s: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _probe(model, grid):
+    scale = model.length_scale
+    step = 1 if model.walls == (INVERSE_SQUARE, DIRICHLET) else -1
+    xs, wall = grid.points[::step], model.walls[::step][0]  # from the probed end inward
+    s = np.abs(xs - (xs[0] - step * grid.eps))  # distance from the wall
+    window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
+    if np.count_nonzero(window) < 20:
+        raise FitFailure(f"only {np.count_nonzero(window)} points in the fit window")
+    stop = int(np.flatnonzero(window)[-1]) + 1
+    xs = np.ascontiguousarray(xs[:stop])
+    start = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
+    return _Probe(evaluate_potential(model, xs), start, window[:stop], s[window])
+
+
 def boundary_exponent_probe(model, E, grid=None):
     """Fitted slope of log|psi| vs log s near a wall, at a converged energy.
 
@@ -426,26 +528,21 @@ def boundary_exponent_probe(model, E, grid=None):
     window; the assembled two-sided solution differs from it by a constant
     factor, which the slope does not see.  Integration runs away from the
     wall, the direction in which the regular branch is stable, so the window
-    slope is governed by the equation over two decades of s.
+    slope is governed by the equation over two decades of s.  The sweep
+    starts from the leading power s^{3/2} alone, not the wall series, so the
+    exponent is a result.  The window and the potential on it are memoised
+    per (model, grid).
     Expected 3/2 at inverse-square walls, 1 at hard walls.
     """
     if grid is None:
         grid = default_grid(model, size=40001)  # dense enough for >= 20 fit points
-    scale = model.length_scale
-    step = 1 if model.walls == (INVERSE_SQUARE, DIRICHLET) else -1
-    xs, wall = grid.points[::step], model.walls[::step][0]  # from the probed end inward
-    s = np.abs(xs - (xs[0] - step * grid.eps))  # distance from the wall
-    window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
-    if np.count_nonzero(window) < 20:
-        raise FitFailure(f"only {np.count_nonzero(window)} points in the fit window")
-    stop = int(np.flatnonzero(window)[-1]) + 1
-    T = _numerov_t(model, E, grid, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
-    start, i0 = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
-    psi = np.zeros(stop)
-    psi[:start.size] = start
-    _numerov(T, psi, i0)
-    a = np.abs(psi[window[:stop]])
+    probe = _probe(model, grid)
+    T = _numerov_t(model, E, grid, probe.V)
+    psi = np.zeros(T.size)
+    psi[:probe.start.size] = probe.start
+    _numerov(T, psi, probe.start.size - 1)
+    a = np.abs(psi[probe.window])
     good = a > 0
     if np.count_nonzero(good) < 20:
         raise FitFailure("wavefunction vanishes inside the fit window")
-    return float(np.polyfit(np.log(s[window][good]), np.log(a[good]), 1)[0])
+    return float(np.polyfit(np.log(probe.s[good]), np.log(a[good]), 1)[0])

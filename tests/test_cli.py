@@ -26,7 +26,7 @@ class TestParseConfig:
         cfg = cli.parse_config(["spectrum", "--model", "aq-box", "--b", "1", "--hbar", "1",
                                 "--method", "both", "--levels", "6"])
         assert cfg.model_name == "aq-box" and cfg.method == "both" and cfg.levels == 6
-        assert cfg.basis_size == 32 and cfg.grid_size == 20001 and cfg.tol == 1e-8
+        assert cfg.basis_size == 32 and cfg.grid_size == 4001 and cfg.tol == 1e-8
 
     def test_defaults(self):
         cfg = cli.parse_config(["spectrum"])
@@ -56,6 +56,28 @@ class TestParseConfig:
         code, _, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2
         assert repr(next(iter(values))) in err
+
+    def test_config_key_the_command_does_not_read(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "aq-box", "grid-size": 5000}))
+        code, out, err = run_cli(capsys, "convergence", "--config", str(path))
+        assert code == 2 and out == ""
+        assert "grid-size" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--W", "1"),
+        ("potential", "--levels", "3"),
+        ("check-derivatives", "--model", "aq-box"),
+        ("convergence", "--model", "aq-box", "--sizes", "8,16", "--levels", "2",
+         "--grid-size", "5000"),
+        ("validate", "--format", "csv"),
+    ], ids=lambda argv: argv[0])
+    def test_unread_flag_is_usage_error(self, capsys, argv):
+        # each command is offered only the flags it reads; one it would
+        # ignore exits 2 and is named
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert argv[-2] in err
 
     def test_negative_b_names_the_flag(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--b", "-1")
@@ -167,7 +189,7 @@ class TestSpectrum:
         for k in (0, 1):
             lines = (dest / f"psi_{k}.csv").read_text().strip().split("\n")
             assert lines[0] == "x,psi"
-            assert len(lines) == 20002
+            assert len(lines) == 4002
             vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
             assert np.max(np.abs(vals[:, 1])) == pytest.approx(1.0)
 

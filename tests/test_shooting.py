@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsupported,
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue)
 from boxaffine.ritz import compute_spectrum
-from boxaffine import shooting
-from boxaffine.shooting import (BracketFailure, FitFailure, ShootingGrid, _brent, _launch,
-                                _numerov, _numerov_t, _onesided_nodes, _setup, _wronskian,
-                                boundary_exponent_probe, default_grid, eigenvalue_search,
-                                numerov_integrate, wavefunction)
+from boxaffine import cli, shooting
+from boxaffine.shooting import (SERIES_FRAC, BracketFailure, FitFailure, ShootingGrid, _brent,
+                                _launch, _numerov, _numerov_t, _onesided_nodes, _setup, _start,
+                                _wronskian, boundary_exponent_probe, default_grid,
+                                eigenvalue_search, numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -104,19 +105,28 @@ class TestEigenvalueSearch:
         assert 3.5 <= order <= 4.5
 
     def test_grid_convergence_singular_wall_layer(self):
-        # inverse-square walls cap uniform-grid Numerov at second order;
-        # this pins the observed behavior so accuracy budgets stay honest
-        energies = []
-        for size in (2001, 4001, 8001):
-            grid = default_grid(AQ, size)
-            energies.append(eigenvalue_search(AQ, 1, tol=1e-10, grid=grid))
-        d = np.abs(np.diff(energies))
-        order = math.log2(d[0] / d[1])
-        assert 1.6 <= order <= 2.6
-        # absolute error at production grids still far below the 1e-6 budget
+        # the wall series launch keeps Numerov fourth order at inverse-square
+        # walls; planting the leading power alone gave second order here
+        for model in (AQ, HalfHarmonic(1.0)):
+            energies = []
+            for size in (1001, 2001, 4001):
+                grid = default_grid(model, size)
+                energies.append(eigenvalue_search(model, 1, tol=1e-10, grid=grid))
+            d = np.abs(np.diff(energies))
+            order = math.log2(d[0] / d[1])
+            assert 3.5 <= order <= 4.5
         ref = compute_spectrum(AQ, 48).eigenvalues[1]
-        e_fine = eigenvalue_search(AQ, 1, tol=1e-9, grid=default_grid(AQ, 40001))
-        assert abs(e_fine - ref) / ref < 1e-7
+        e_fine = eigenvalue_search(AQ, 1, tol=1e-10, grid=default_grid(AQ, 40001))
+        assert abs(e_fine - ref) / ref < 1e-12
+
+    def test_accuracy_at_default_grid(self):
+        # the CLI's default grid holds levels 0-11 to these bounds at tol 1e-10
+        size = cli._DEFAULTS["grid-size"]
+        for model, bound in ((AQ, 5e-11), (CQ, 5e-11), (HalfHarmonic(1.0), 3e-10)):
+            grid = default_grid(model, size)
+            got = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+            ref = np.array(_levels(model, 12, basis=64))
+            assert np.max(np.abs(got - ref) / ref) <= bound
 
     def test_bracket_failure(self):
         # level 70 lies at 71^2 pi^2 / 4 ~ 1.24e4, above the 1e4 ceiling
@@ -248,22 +258,98 @@ class TestBoundaryExponent:
     @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
     def test_wall_sweep_matches_full_grid_fit(self, model):
         # the probe sweeps only from the wall across the fit window; the slope
-        # must be the one fitted on the assembled two-sided solution
+        # must be the one fitted on a leading-power sweep over the whole grid
         grid = default_grid(model, 40001)
         for k in (0, 1, 5):
             e = eigenvalue_search(model, k, tol=1e-9, grid=default_grid(model, 20001))
             assert boundary_exponent_probe(model, e) == pytest.approx(
                 _exponent_reference(model, e, grid), abs=1e-12)
 
+    def test_memoised_window_is_bit_identical(self):
+        # the window and the potential on it are built once per (model, grid);
+        # the slopes must equal those of the construction over the full grid,
+        # also when probes on different grids alternate
+        grids = {model: [default_grid(model, 40001), default_grid(model, 60001)]
+                 for model in (CQ, AQ, HalfHarmonic(0.37))}
+        for model, pair in grids.items():
+            for E in (0.7, 2.0, 4.6, 14.4, 48.8):
+                for grid in pair + pair[::-1]:
+                    e = E * model.energy_scale
+                    got = boundary_exponent_probe(model, e, grid)
+                    assert got == _probe_full_grid(model, e, grid)
+
 
 def _exponent_reference(model, E, grid):
-    # the full-grid fit: log|psi| of the assembled two-sided solution against
-    # log s over the window s in [1e-4, 1e-2] * scale next to the wall
-    xs, psi = wavefunction(model, E, grid)
+    # the full-grid fit: one sweep from the probed wall over the whole grid,
+    # launched with the leading power alone, and log|psi| fitted against
+    # log s over the window s in [1e-4, 1e-2] * scale next to that wall
+    left = model.walls == (shooting.INVERSE_SQUARE, shooting.DIRICHLET)
+    xs = grid.points if left else grid.points[::-1].copy()
+    s = np.abs(xs - xs[0]) + grid.eps
+    T = _numerov_t(model, E, grid, evaluate_potential(model, xs))
+    start = _launch(model.walls[0 if left else 1], s)
+    psi = np.zeros(xs.size)
+    psi[:start.size] = start
+    _numerov(T, psi, start.size - 1)
     scale = model.length_scale
-    s = xs.copy() if isinstance(model, HalfHarmonic) else (xs[-1] + grid.eps) - xs
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     return float(np.polyfit(np.log(s[window]), np.log(np.abs(psi[window])), 1)[0])
+
+
+def _probe_full_grid(model, E, grid):
+    # the probe as it was before its window was memoised: the whole grid,
+    # its distances and masks built on every call
+    scale = model.length_scale
+    step = 1 if model.walls == (shooting.INVERSE_SQUARE, shooting.DIRICHLET) else -1
+    xs, wall = grid.points[::step], model.walls[::step][0]
+    s = np.abs(xs - (xs[0] - step * grid.eps))
+    window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
+    stop = int(np.flatnonzero(window)[-1]) + 1
+    T = _numerov_t(model, E, grid, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
+    start = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
+    psi = np.zeros(stop)
+    psi[:start.size] = start
+    _numerov(T, psi, start.size - 1)
+    a = np.abs(psi[window[:stop]])
+    good = a > 0
+    return float(np.polyfit(np.log(s[window][good]), np.log(a[good]), 1)[0])
+
+
+class TestWallSeries:
+    @pytest.mark.parametrize("hbar", [1.0, 1e-3, 37.0])
+    def test_half_line_series_is_the_closed_form(self, hbar):
+        # at E = 2 hbar (k + 1) the regular wall solution is the eigenfunction
+        # x^{3/2} L_k^(1)(x^2/hbar) exp(-x^2/2 hbar), up to a constant factor
+        model = HalfHarmonic(hbar)
+        setup = _setup(model, default_grid(model, 20001))
+        x = setup.xs[:setup.left.base.size]
+        assert x[-1] < SERIES_FRAC * model.length_scale
+        for k in range(12):
+            planted = _start(setup, setup.left, half_ho_eigenvalue(k, hbar))
+            ratio = planted / half_ho_eigenfunction(k, x, hbar)
+            assert np.max(np.abs(ratio / ratio[-1] - 1.0)) <= 1e-13
+
+    def test_declared_aq_box_series(self):
+        # sum w_j u^j against u^2 b^2 V / kappa, the latter in exact rational
+        # arithmetic at dyadic distances s < SERIES_FRAC * b (b = hbar = 1)
+        for s in (2.0**-30, 2.0**-17, 2.0**-10, 3.0 * 2.0**-8, 0.0498046875):
+            u = Fraction(s)
+            x = 1 - u
+            exact = u * u * (2 * x * x + 1) / (1 - x * x) ** 2
+            got = math.fsum(w * s**j for j, w in enumerate(AQ.wall_series))
+            assert abs(got - float(exact)) <= 2e-16 * float(exact)
+
+    @pytest.mark.parametrize("model", [AQ, HalfHarmonic(1.0)], ids=["aq-box", "half-ho"])
+    def test_series_region(self, model):
+        # every grid point nearer a wall than SERIES_FRAC * length_scale is
+        # planted, and none farther; Dirichlet ends start from (0, h)
+        grid = default_grid(model, 4001)
+        setup = _setup(model, grid)
+        s = setup.xs - setup.xs[0] + grid.eps
+        planted = setup.left.base.size
+        assert s[planted - 1] < SERIES_FRAC * model.length_scale <= s[planted]
+        if model.walls[1] == shooting.DIRICHLET:
+            assert setup.right.powers is None and setup.right.base.size == 2
 
 
 class TestWavefunction:
@@ -355,12 +441,12 @@ def _numerov_reference(T, psi, i0):
     return psi
 
 
-def _levels(model, count):
+def _levels(model, count, basis=48):
     if isinstance(model, CqBox):
         return [cq_eigenvalue(n, GEOM) for n in range(1, count + 1)]
     if isinstance(model, HalfHarmonic):
         return [half_ho_eigenvalue(k, model.hbar) for k in range(count)]
-    return list(compute_spectrum(model, 48, n_diagnostics=count).eigenvalues[:count])
+    return list(compute_spectrum(model, basis, n_diagnostics=count).eigenvalues[:count])
 
 
 @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
@@ -374,7 +460,8 @@ def test_kernel_matches_reference_loop(model):
     V = evaluate_potential(model, xs)
     for lo, hi in zip(levels[:-1], levels[1:]):
         T = _numerov_t(model, 0.5 * (lo + hi), grid, V)
-        start, i0 = _launch(model.walls[0], xs - xs[0] + grid.eps)
+        start = _launch(model.walls[0], xs - xs[0] + grid.eps)
+        i0 = start.size - 1
         psi = np.zeros(xs.size)
         psi[:start.size] = start
         ref = _numerov_reference(T, psi.copy(), i0)
