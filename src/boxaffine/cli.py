@@ -367,18 +367,23 @@ def run_spectrum(cfg):
         rr = ritz.compute_spectrum(model, cfg.basis_size, n_diagnostics=cfg.levels)
         timings["rayleigh_ritz_s"] = time.perf_counter() - t0
 
-    sh_levels = None
+    sh_energies = None
     if method in ("shooting", "both"):
         t0 = time.perf_counter()
         grid = shooting.default_grid(model, cfg.grid_size)
         if cfg.dump_psi:
             os.makedirs(cfg.dump_psi, exist_ok=True)
-        sh_levels = []
+        sh_energies, sh_levels = [], []
         for k in range(cfg.levels):
             energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid=grid)
+            sh_energies.append(energy)
+            # a final shot only where it is read: levels without Ritz, or --dump-psi
+            if rr is not None and not cfg.dump_psi:
+                continue
             shot = shooting.numerov_integrate(model, energy, grid)
-            sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
-                                           shooting.boundary_exponent_probe(model, energy)))
+            if rr is None:
+                sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
+                                               shooting.boundary_exponent_probe(model, energy)))
             if cfg.dump_psi:
                 path = os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv")
                 with open(path, "w") as fh:
@@ -395,8 +400,8 @@ def run_spectrum(cfg):
         rec = {"index": index_base + k, "energy": float(level.energy), "parity": level.parity,
                "node_count": level.node_count,
                "boundary_exponent": float(level.boundary_exponent)}
-        if rr is not None and sh_levels is not None:
-            e_rr, e_sh = rr.levels[k].energy, sh_levels[k].energy
+        if rr is not None and sh_energies is not None:
+            e_rr, e_sh = rr.levels[k].energy, sh_energies[k]
             delta = abs(e_sh - e_rr) / abs(e_rr)
             rec.update(energy_rayleigh_ritz=float(e_rr), energy_shooting=float(e_sh),
                        relative_delta=float(delta))

@@ -1,12 +1,13 @@
 """Numerov shooting oracle for the box and half-line models.
 
-Integrates psi'' = (V - E) psi / kappa from both ends of the model's declared
-interval, launched as each end's wall asks, matches at the centre of a
-mirror-symmetric model or else at the potential minimum, and locates
-eigenvalues by node-count bracketing plus a Brent root of the Pruefer-
-normalised matching Wronskian -- the pole-free form of the log-derivative
-mismatch.  Fully independent of the variational solver, which it
-cross-checks.
+Integrates psi'' = (V - E) psi / kappa inward from the ends of the model's
+declared interval, launched as each end's wall asks, and matches at the
+centre of a mirror-symmetric model or else at the potential minimum.  On a
+mirror-symmetric model the branch from the right end is the left one
+mirrored, so one left sweep gives both.  Eigenvalues are located by
+node-count bracketing plus a Brent root of the Pruefer-normalised matching
+Wronskian -- the pole-free form of the log-derivative mismatch.  Fully
+independent of the variational solver, which it cross-checks.
 
 A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
 sweep plants the regular Frobenius solution s^{3/2} sum a_n u^n, with s the
@@ -240,7 +241,8 @@ def _recurrence(wall_series):
 @dataclass(frozen=True, eq=False)
 class _Setup:
     """What every shot on one (model, grid) shares.  ``nodes`` memoises the
-    one-sided node count by trial energy, a pure function of (model, grid, E)."""
+    one-sided node count and ``wronskians`` the matching Wronskian by trial
+    energy, each a pure function of (model, grid, E)."""
 
     model: object
     grid: ShootingGrid
@@ -250,6 +252,7 @@ class _Setup:
     left: _End
     right: _End
     nodes: dict
+    wronskians: dict
 
 
 @functools.lru_cache(maxsize=1)
@@ -266,7 +269,7 @@ def _setup(model, grid):
     m = min(max(m, 3), n - 4)
     left = _end(model, model.walls[0], xs - xs[0] + grid.eps)
     right = _end(model, model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
-    return _Setup(model, grid, xs, V, m, left, right, {})
+    return _Setup(model, grid, xs, V, m, left, right, {}, {})
 
 
 def _start(setup, end, E):
@@ -313,35 +316,69 @@ def _onesided_nodes(psi_l, T):
 
 
 def _nodes(setup, E):
-    """One-sided node count at E over the whole grid, memoised."""
+    """One-sided node count at E over the whole grid, memoised.  On a mirror-
+    symmetric model the same sweep holds the mirrored matching Wronskian at E,
+    which is memoised with it."""
     count = setup.nodes.get(E)
     if count is None:
         T = _numerov_t(setup.model, E, setup.grid, setup.V)
-        count = setup.nodes[E] = _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+        psi_l = _sweep_left(setup, E, T, T.size)
+        count = setup.nodes[E] = _onesided_nodes(psi_l, T)
+        if setup.model.symmetric:
+            setup.wronskians.setdefault(E, _mirrored_wronskian(setup, E, psi_l))
     return count
 
 
-def _wronskian(setup, E):
-    """Matching Wronskian at E, each branch scaled to unit Pruefer amplitude
-    sqrt(psi^2 + (psi'/k)^2) at the match point, k = sqrt(|E - V_m| / kappa).
-
-    Divided by k, it is the sine of the angle between the two branches'
-    Pruefer phases: bounded, smooth in E, and zero exactly at an eigenvalue,
-    wherever the level's nodes sit.  The left branch is swept through m + 1
-    and the right one from m - 1, about one grid sweep in all.
-    """
-    model, grid, m = setup.model, setup.grid, setup.match
-    T = _numerov_t(model, E, grid, setup.V)
-    psi_l = _sweep_left(setup, E, T, m + 2)
-    psi_r = _sweep_right(setup, E, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
-    two_h = 2.0 * grid.spacing
-    k = math.sqrt(abs(E - float(setup.V[m])) / model.kappa) or 1.0
-    l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
-    r0, dr = float(psi_r[1]), float(psi_r[2] - psi_r[0]) / two_h
+def _pruefer_wronskian(setup, E, left, right):
+    # from each branch's values at m - 1, m, m + 1, each branch scaled to unit
+    # Pruefer amplitude at the match point, so a sweep's overall scale drops out
+    two_h = 2.0 * setup.grid.spacing
+    l0, dl = float(left[1]), float(left[2] - left[0]) / two_h
+    r0, dr = float(right[1]), float(right[2] - right[0]) / two_h
+    k = math.sqrt(abs(E - float(setup.V[setup.match])) / setup.model.kappa) or 1.0
     amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
     if amp_l == 0.0 or amp_r == 0.0:
         return math.nan
     return ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
+
+
+def _mirrored_wronskian(setup, E, psi_l):
+    """Matching Wronskian of a mirror-symmetric model from its left branch
+    alone, swept at least through max(m, m*) + 1.  The right branch is the
+    left one reflected, r(x_j) = l(x_{n-1-j}), so its values at m - 1, m, m + 1
+    are the left branch's at m* + 1, m*, m* - 1, with m* = n - 1 - m.  On an
+    odd grid m* = m, the centre; on an even one m* is the other central point.
+    """
+    m = setup.match
+    ms = setup.xs.size - 1 - m
+    return _pruefer_wronskian(setup, E, psi_l[m - 1:m + 2], psi_l[ms + 1:ms - 2:-1])
+
+
+def _wronskian(setup, E):
+    """Matching Wronskian at E, each branch scaled to unit Pruefer amplitude
+    sqrt(psi^2 + (psi'/k)^2) at the match point, k = sqrt(|E - V_m| / kappa);
+    memoised per (model, grid).
+
+    Divided by k, it is the sine of the angle between the two branches'
+    Pruefer phases: bounded, smooth in E, and zero exactly at an eigenvalue,
+    wherever the level's nodes sit.  On a mirror-symmetric model one left
+    sweep through max(m, m*) + 1, about half the grid, gives both branches
+    (``_mirrored_wronskian``), and a node probe at E already holds it.
+    Otherwise the left branch is swept through m + 1 and the right one from
+    m - 1, about one grid sweep in all.
+    """
+    w = setup.wronskians.get(E)
+    if w is None:
+        m = setup.match
+        T = _numerov_t(setup.model, E, setup.grid, setup.V)
+        if setup.model.symmetric:
+            w = _mirrored_wronskian(setup, E, _sweep_left(setup, E, T, max(m, T.size - 1 - m) + 2))
+        else:
+            # the right sweep from m - 1 holds xs[m - 1:] in order
+            w = _pruefer_wronskian(setup, E, _sweep_left(setup, E, T, m + 2)[m - 1:],
+                                   _sweep_right(setup, E, T, m - 1))
+        setup.wronskians[E] = w
+    return w
 
 
 _EPS = float(np.finfo(float).eps)
@@ -433,7 +470,10 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
     its upper end, lower end > 0.  These probes sweep from the left end only
     and are memoised per (model, grid), so the levels of one spectrum share
     them.  Brent's method then finds the root of the Pruefer-normalised
-    two-sided matching Wronskian in the bracket, and returns it.  Where that
+    matching Wronskian in the bracket, and returns it.  Wronskians are
+    memoised too, and on a mirror-symmetric model a node probe also yields
+    the Wronskian at its energy, so the bracket ends cost no sweep and each
+    other evaluation sweeps about half the grid.  Where that
     Wronskian has no clean sign change on the bracket, the staircase
     bisection goes on to the width and the bracket midpoint is returned.
     """

@@ -11,8 +11,11 @@ import pytest
 
 import boxaffine
 from boxaffine import cli
+from boxaffine.boxmodes import BoxGeometry
+from boxaffine.potentials import AqBox
 from boxaffine.ritz import NotPositiveDefinite
-from boxaffine.shooting import BracketFailure
+from boxaffine.shooting import (BracketFailure, boundary_exponent_probe, default_grid,
+                                numerov_integrate)
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +195,43 @@ class TestSpectrum:
             assert len(lines) == 4002
             vals = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
             assert np.max(np.abs(vals[:, 1])) == pytest.approx(1.0)
+
+    def test_both_takes_no_final_shot(self, capsys, monkeypatch):
+        # Ritz fills the levels of `both`; a final shot there would be discarded
+        calls = []
+        monkeypatch.setattr(cli.shooting, "numerov_integrate", lambda *a: calls.append(a))
+        monkeypatch.setattr(cli.shooting, "boundary_exponent_probe", lambda *a: calls.append(a))
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--levels", "3",
+                               "--method", "both")
+        assert code == 0
+        assert calls == []
+        assert json.loads(out)["agreement"]["pass"] is True
+
+    def test_both_dump_psi_writes_the_final_shots(self, capsys, tmp_path):
+        # the files hold the final shot at each level's shooting energy
+        dest = tmp_path / "waves"
+        code = cli.main(["spectrum", "--model", "aq-box", "--levels", "2", "--method", "both",
+                         "--out", str(tmp_path / "r.json"), "--dump-psi", str(dest)])
+        capsys.readouterr()
+        assert code == 0
+        assert sorted(os.listdir(dest)) == ["psi_0.csv", "psi_1.csv"]
+        grid = default_grid(AqBox(), cli._DEFAULTS["grid-size"])
+        for lv in json.loads((tmp_path / "r.json").read_text())["levels"]:
+            shot = numerov_integrate(AqBox(), lv["energy_shooting"], grid)
+            rows = "".join(f"{float(x)!r},{float(p)!r}\n" for x, p in zip(shot.xs, shot.psi))
+            assert (dest / f"psi_{lv['index']}.csv").read_text() == "x,psi\n" + rows
+
+    def test_shooting_reports_the_final_shot(self, capsys):
+        code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--levels", "3",
+                               "--method", "shooting")
+        assert code == 0
+        grid = default_grid(AqBox(), cli._DEFAULTS["grid-size"])
+        for k, lv in enumerate(json.loads(out)["levels"]):
+            shot = numerov_integrate(AqBox(), lv["energy"], grid)
+            assert (lv["parity"], lv["node_count"]) == (shot.parity, shot.node_count)
+            assert (shot.parity, shot.node_count) == (("even", "odd")[k % 2], k)
+            assert lv["boundary_exponent"] == boundary_exponent_probe(AqBox(), lv["energy"])
+            assert lv["boundary_exponent"] == pytest.approx(1.5, abs=0.01)
 
     def test_dump_psi_without_shooting_is_usage_error(self, capsys, tmp_path):
         # Ritz has no shooting wavefunctions to write; the flag must not be ignored

@@ -12,8 +12,8 @@ from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
 from boxaffine.shooting import (SERIES_FRAC, BracketFailure, FitFailure, ShootingGrid, _brent,
                                 _launch, _numerov, _numerov_t, _onesided_nodes, _setup, _start,
-                                _wronskian, boundary_exponent_probe, default_grid,
-                                eigenvalue_search, numerov_integrate, wavefunction)
+                                _sweep_left, _sweep_right, _wronskian, boundary_exponent_probe,
+                                default_grid, eigenvalue_search, numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -161,9 +161,11 @@ class TestEigenvalueSearch:
             assert warm == cold
 
     def test_sweeps_per_level(self, monkeypatch):
-        # a count, not a timing: isolating brackets, shared staircase probes
-        # and Brent keep 12 levels to <= 20 kernel calls each (the all-bisection
-        # search took ~39 full-grid sweeps per level)
+        # a count, not a timing: isolating brackets, shared staircase probes,
+        # Brent and memoised mirrored Wronskians keep 12 levels to <= 8 kernel
+        # calls and <= 4.5 grid lengths each (the all-bisection search took ~39
+        # full-grid sweeps per level, the two-sided Wronskian 17.5 calls and
+        # 9.0 grid lengths)
         calls = []
 
         def counted(T, psi, i0):
@@ -175,7 +177,8 @@ class TestEigenvalueSearch:
         _setup.cache_clear()
         for k in range(12):
             eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
-        assert len(calls) <= 20 * 12
+        assert len(calls) <= 8 * 12
+        assert sum(calls) <= 4.5 * grid.size * 12
 
     def test_two_sided_root_matches_ritz(self):
         # the Wronskian root is the two-sided eigenvalue of the grid; the
@@ -210,6 +213,66 @@ class TestEigenvalueSearch:
     def test_half_line_scaling_law(self, hbar):
         got = [eigenvalue_search(HalfHarmonic(hbar), k, tol=1e-10) / hbar for k in range(5)]
         assert got == pytest.approx(_unit_levels(HalfHarmonic(1.0), 5), rel=1e-10)
+
+
+def _two_sided_wronskian(setup, E):
+    # the matching Wronskian from a left and a right sweep, as it was before
+    # mirror-symmetric models took the right branch from the left one; kept
+    # as the reference the mirrored form must reproduce
+    m = setup.match
+    T = _numerov_t(setup.model, E, setup.grid, setup.V)
+    psi_l = _sweep_left(setup, E, T, m + 2)
+    psi_r = _sweep_right(setup, E, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
+    two_h = 2.0 * setup.grid.spacing
+    k = math.sqrt(abs(E - float(setup.V[m])) / setup.model.kappa) or 1.0
+    l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
+    r0, dr = float(psi_r[1]), float(psi_r[2] - psi_r[0]) / two_h
+    amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
+    if amp_l == 0.0 or amp_r == 0.0:
+        return math.nan
+    return ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
+
+
+class TestMirroredWronskian:
+    # odd grids match at the centre (m* = m), even ones at one of the two
+    # central points (m* is the other)
+    @pytest.mark.parametrize("size", [1000, 1001, 4000, 4001])
+    @pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (1e-3, 1.0), (3.7, 20.0)])
+    @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
+    def test_matches_two_sided_reference(self, cls, b, hbar, size):
+        model = cls(BoxGeometry(b, hbar))
+        _setup.cache_clear()
+        setup = _setup(model, default_grid(model, size))
+        for E in np.geomspace(0.5, 400.0, 60) * model.energy_scale:
+            # both values are the sine of the branches' Pruefer phase angle
+            assert abs(_wronskian(setup, E) - _two_sided_wronskian(setup, E)) <= 1e-9
+
+    @pytest.mark.parametrize("size", [4000, 4001])
+    @pytest.mark.parametrize("model", [AQ, CqBox(BoxGeometry(0.3, 2.0))], ids=["aq-box", "cq-box"])
+    def test_levels_match_two_sided_search(self, model, size, monkeypatch):
+        grid = default_grid(model, size)
+        _setup.cache_clear()
+        got = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+        monkeypatch.setattr(shooting, "_wronskian", _two_sided_wronskian)
+        _setup.cache_clear()
+        ref = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_no_energy_swept_twice(self, monkeypatch):
+        # node probes hold the mirrored Wronskian at their energy, and every
+        # Wronskian is memoised, so a spectrum sweeps each energy once
+        energies = []
+
+        def counted(setup, E, T, stop):
+            energies.append(E)
+            return _sweep_left(setup, E, T, stop)
+
+        monkeypatch.setattr(shooting, "_sweep_left", counted)
+        _setup.cache_clear()
+        grid = default_grid(AQ, 4001)
+        for k in range(12):
+            eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
+        assert len(energies) == len(set(energies))
 
 
 @functools.lru_cache(maxsize=None)
