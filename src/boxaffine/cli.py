@@ -1,9 +1,17 @@
 """Command-line front end: spectra, potential dumps, derivative diagnostics,
 convergence studies, and the built-in validation suite.
 
+Each flag is declared once, in ``_FLAGS``: its default, its type, its
+choices and its rules.  ``parse_config`` takes every value from the command
+line, else from the ``--config`` file, else from that default; a file value
+converts as its command-line text would, and every value meets the same
+checks.  Which solvers a model admits follows from the walls it declares.
+``main`` runs the command and writes its report as JSON or through the
+command's CSV writer.
+
 Reports are versioned JSON (schema "boxaffine/1") or plot-ready CSV.  Exit
-codes: 0 success, 2 usage error (including --b or --hbar outside
-SCALE_RANGE), 3 cross-method disagreement, 4 solver failure.
+codes: 0 success, 2 usage error (including a non-finite number, and --b or
+--hbar outside SCALE_RANGE), 3 cross-method disagreement, 4 solver failure.
 """
 
 import argparse
@@ -13,7 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -21,15 +29,13 @@ from . import acceptance, ritz, shooting
 from .boxmodes import BoxGeometry, cq_eigenfunction_extended
 from .piecewise import (QuadratureFailure, discrete_second_derivative_norm, flat_ramp,
                         l2_norm_squared, weak_second_derivative)
-from .potentials import (AntiBox, AqBox, CqBox, DomainError, HalfHarmonic,
+from .potentials import (DIRICHLET, AntiBox, AqBox, CqBox, DomainError, HalfHarmonic,
                          ModelUnsupported, boundary_asymptotic_ratio, evaluate_potential)
 from .quadrature import ConvergenceFailure
 
 SCHEMA_VERSION = "boxaffine/1"
 AGREEMENT_THRESHOLD = 1e-5
 MODELS = {"cq-box": CqBox, "aq-box": AqBox, "half-ho": HalfHarmonic, "anti-box": AntiBox}
-MODEL_NAMES = tuple(MODELS)
-METHODS = ("rayleigh-ritz", "shooting", "both")
 MAX_LEVELS = 12
 # accepted --b and --hbar: inside it hbar^2/b^2 and the float powers of b and
 # hbar that the solvers take stay finite, so none raises OverflowError; a Ritz
@@ -93,30 +99,79 @@ SPECTRUM_REPORT_SCHEMA = {
 }
 
 
-_DEFAULTS = {
-    "model": "cq-box",
-    "b": 1.0,
-    "hbar": 1.0,
-    "W": 0.0,
-    "levels": 6,
-    "basis-size": 32,
-    "grid-size": 4001,
-    "tol": 1e-8,
-    "method": None,  # resolved per model
-    "format": None,  # resolved per command: csv for `potential`, json otherwise
-    "out": None,
-    "dump-psi": None,
-    "target": "toy",
-    "n": 1,
-    "x-min": None,
-    "x-max": None,
-    "points": 199,
-    "sizes": "8,16,24,32,48",
+@dataclass(frozen=True)
+class Flag:
+    """One flag, also a --config key: its default (None: unset), the type its
+    text converts to, the values it may take, and its rules, each a predicate
+    with the end of the usage message for a value that fails it."""
+
+    default: object
+    type: Callable = str
+    choices: Optional[Tuple[str, ...]] = None
+    rules: Tuple[Tuple[Callable, str], ...] = ()
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+    dest: Optional[str] = None  # the RunConfig field, if not the key with "_" for "-"
+
+
+def _within(lo, hi):
+    return (lambda v: lo <= v <= hi), f"must be in [{lo:g}, {hi:g}]"
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo), f"must be >= {lo:g}"
+
+
+def _basis_sizes(text):
+    """'8,16,24' -> (8, 16, 24); empty entries are skipped."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}")
+
+
+# the range implies > 0; a value <= 0 is still named as such
+_SCALE_RULES = ((lambda v: v > 0, "must be > 0"), _within(*SCALE_RANGE))
+
+_FLAGS = {
+    "model": Flag("cq-box", choices=tuple(MODELS), dest="model_name"),
+    "b": Flag(1.0, float, rules=_SCALE_RULES, help="box half-width"),
+    "hbar": Flag(1.0, float, rules=_SCALE_RULES),
+    "W": Flag(0.0, float, rules=(_at_least(0),), help="anti-box pull strength"),
+    "levels": Flag(6, int, rules=(_within(1, MAX_LEVELS),)),
+    "basis-size": Flag(32, int, rules=(_within(1, ritz.MAX_BASIS),)),
+    "grid-size": Flag(4001, int, rules=(_at_least(1000),), help="shooting grid points, >= 1000"),
+    "tol": Flag(1e-8, float, rules=((lambda v: 1e-10 <= v <= 1e-2, "must be in [1e-10, 1e-2]"),),
+                help="shooting search width, in units of hbar^2/b^2 (boxes) or hbar (half-ho); "
+                     "in [1e-10, 1e-2]"),
+    "method": Flag(None, choices=("rayleigh-ritz", "shooting", "both")),
+    # unset, it is csv for `potential` and json otherwise
+    "format": Flag(None, choices=("json", "csv"), dest="fmt",
+                   help="report format; `potential` writes csv only"),
+    "out": Flag(None),
+    "dump-psi": Flag(None, metavar="DIR", help="also write shooting wavefunctions as "
+                                               "DIR/psi_<k>.csv (method shooting or both)"),
+    "x-min": Flag(None, float),
+    "x-max": Flag(None, float),
+    "points": Flag(199, int, rules=(_at_least(2),)),
+    "target": Flag("toy", choices=("toy", "cq-eigenfunction")),
+    "n": Flag(1, int, rules=(_at_least(1),), help="mode index for cq-eigenfunction"),
+    "sizes": Flag("8,16,24,32,48", _basis_sizes, help="comma-separated ascending basis sizes",
+                  rules=((bool, "must list at least one basis size"),
+                         (lambda v: all(x < y for x, y in zip(v, v[1:])), "must be strictly ascending"),
+                         (lambda v: v[-1] <= ritz.MAX_BASIS, f"entries must be <= {ritz.MAX_BASIS}"))),
 }
+_DEFAULTS = {key: flag.default for key, flag in _FLAGS.items()}
+
+
+def _dest(key):
+    return _FLAGS[key].dest or key.replace("-", "_")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked command line, one field per _FLAGS key."""
+
     command: str
     model_name: str
     b: float
@@ -129,13 +184,13 @@ class RunConfig:
     tol: float
     fmt: str
     out: Optional[str]
-    target: str = "toy"
-    n: int = 1
-    x_min: Optional[float] = None
-    x_max: Optional[float] = None
-    points: int = 199
-    sizes: Tuple[int, ...] = ()
-    dump_psi: Optional[str] = None
+    target: str
+    n: int
+    x_min: Optional[float]
+    x_max: Optional[float]
+    points: int
+    sizes: Tuple[int, ...]
+    dump_psi: Optional[str]
 
     def model(self):
         """The named model, each of its fields filled from this config."""
@@ -143,30 +198,11 @@ class RunConfig:
         cls = MODELS[self.model_name]
         return cls(**{f.name: values[f.name] for f in fields(cls)})
 
+    def resolved_method(self):
+        """--method, else both solvers where Rayleigh-Ritz has a basis for the
+        model's walls, and shooting alone elsewhere."""
+        return self.method or ("both" if ritz.has_basis(MODELS[self.model_name]) else "shooting")
 
-_FLAGS = {
-    "model": dict(choices=MODEL_NAMES),
-    "b": dict(type=float, help="box half-width"),
-    "hbar": dict(type=float),
-    "W": dict(type=float, help="anti-box pull strength"),
-    "levels": dict(type=int),
-    "basis-size": dict(type=int),
-    "grid-size": dict(type=int, help=f"shooting grid points, >= 1000 "
-                                     f"(default {_DEFAULTS['grid-size']})"),
-    "tol": dict(type=float, help="shooting search width, in units of hbar^2/b^2 (boxes) "
-                                 "or hbar (half-ho); in [1e-10, 1e-2]"),
-    "method": dict(choices=METHODS),
-    "format": dict(choices=("json", "csv"), help="report format; `potential` writes csv only"),
-    "out": dict(),
-    "dump-psi": dict(metavar="DIR", help="also write shooting wavefunctions as "
-                                         "DIR/psi_<k>.csv (method shooting or both)"),
-    "x-min": dict(type=float),
-    "x-max": dict(type=float),
-    "points": dict(type=int),
-    "target": dict(choices=("toy", "cq-eigenfunction")),
-    "n": dict(type=int, help="mode index for cq-eigenfunction"),
-    "sizes": dict(help="comma-separated ascending basis sizes"),
-}
 
 # each command is offered only the flags it reads, so a flag it would ignore
 # is a usage error; a --config file may set the same keys
@@ -192,10 +228,25 @@ def _build_parser():
     for command, (help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key in keys:
-            p.add_argument(f"--{key}", default=None, **_FLAGS[key])
+            flag = _FLAGS[key]
+            shown = flag.help if flag.default is None else \
+                f"{flag.help or ''} (default {flag.default})".lstrip()
+            p.add_argument(f"--{key}", dest=_dest(key), default=None, type=flag.type,
+                           choices=flag.choices, metavar=flag.metavar, help=shown)
         if keys:
             p.add_argument("--config", default=None, help="flat JSON file; flags override its keys")
     return parser
+
+
+def _from_text(key, flag, value):
+    """A --config value or a default, converted as its command-line text
+    would be: 2.9 is no int, and null no number."""
+    if value is None and flag.default is None:
+        return None  # an optional key left unset
+    try:
+        return flag.type(value if isinstance(value, str) else json.dumps(value))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"--config: bad value {value!r} for {key!r}")
 
 
 def parse_config(argv):
@@ -215,99 +266,40 @@ def parse_config(argv):
         if unknown:
             raise UsageError(f"--config: keys {sorted(unknown)} are not read by `{args.command}`")
 
-    def pick(key, convert=None):
-        # flags come typed from argparse, so only a config-file value can fail
-        # to convert; an unset optional key stays None
-        value = getattr(args, key.replace("-", "_"), None)
+    values = {}
+    for key, flag in _FLAGS.items():
+        value = getattr(args, _dest(key), None)  # a flag comes typed from argparse
         if value is None:
-            value = file_cfg.get(key, _DEFAULTS[key])
-        if convert is None or (value is None and _DEFAULTS[key] is None):
-            return value
-        try:
-            return convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"--config: bad value {value!r} for {key!r}")
+            value = _from_text(key, flag, file_cfg.get(key, flag.default))
+        if value is not None:
+            if flag.type is float and not math.isfinite(value):
+                raise UsageError(f"--{key} must be finite")
+            if flag.choices and value not in flag.choices:
+                raise UsageError(f"unknown {key} {value!r}; valid: {', '.join(flag.choices)}")
+            for ok, text in flag.rules:
+                if not ok(value):
+                    raise UsageError(f"--{key} {text}")
+        values[_dest(key)] = value
+    values["fmt"] = values["fmt"] or ("csv" if args.command == "potential" else "json")
+    cfg = RunConfig(command=args.command, **values)
 
-    model_name = pick("model")
-    if model_name not in MODEL_NAMES:
-        raise UsageError(f"unknown model {model_name!r}; valid: {', '.join(MODEL_NAMES)}")
-    method = pick("method")
-    if method is not None and method not in METHODS:
-        raise UsageError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
-    fmt = pick("format")
-    if fmt is None:
-        fmt = "csv" if args.command == "potential" else "json"
-    if fmt not in ("json", "csv"):
-        raise UsageError(f"--format must be json or csv, got {fmt!r}")
-
-    b = pick("b", float)
-    hbar = pick("hbar", float)
-    W = pick("W", float)
-    levels = pick("levels", int)
-    basis_size = pick("basis-size", int)
-    grid_size = pick("grid-size", int)
-    tol = pick("tol", float)
-    n = pick("n", int)
-
-    if not (b > 0 and math.isfinite(b)):
-        raise UsageError("--b must be > 0")
-    if not (hbar > 0 and math.isfinite(hbar)):
-        raise UsageError("--hbar must be > 0")
-    lo, hi = SCALE_RANGE
-    for flag, value in (("--b", b), ("--hbar", hbar)):
-        if not lo <= value <= hi:
-            raise UsageError(f"{flag} must be in [{lo:g}, {hi:g}]")
-    if W < 0:
-        raise UsageError("--W must be >= 0")
-    if not 1 <= levels <= MAX_LEVELS:
-        raise UsageError(f"--levels must be in [1, {MAX_LEVELS}]")
-    if not 1 <= basis_size <= ritz.MAX_BASIS:
-        raise UsageError(f"--basis-size must be in [1, {ritz.MAX_BASIS}]")
-    if grid_size < 1000:
-        raise UsageError("--grid-size must be >= 1000")
-    if not 1e-10 <= tol <= 1e-2:
-        raise UsageError("--tol must be in [1e-10, 1e-2]")
-    if n < 1:
-        raise UsageError("--n must be >= 1")
-
-    sizes_raw = pick("sizes", str)
-    try:
-        sizes = tuple(int(s) for s in sizes_raw.split(",") if s.strip())
-    except ValueError:
-        raise UsageError(f"--sizes: cannot parse {sizes_raw!r}")
-
-    cfg = RunConfig(
-        command=args.command,
-        model_name=model_name,
-        b=b, hbar=hbar, W=W,
-        method=method,
-        levels=levels,
-        basis_size=basis_size,
-        grid_size=grid_size,
-        tol=tol,
-        fmt=fmt,
-        out=pick("out", str),
-        target=pick("target", str),
-        n=n,
-        x_min=pick("x-min", float),
-        x_max=pick("x-max", float),
-        points=pick("points", int),
-        sizes=sizes,
-        dump_psi=pick("dump-psi", str),
-    )
-
-    if cfg.command == "spectrum" and cfg.model_name == "anti-box":
-        raise UsageError("anti-box supports only `potential`")
-    if cfg.command == "convergence" and cfg.model_name in ("anti-box", "half-ho"):
-        raise UsageError(f"{cfg.model_name} has no basis-size convergence study; use cq-box or aq-box")
-    if cfg.model_name == "half-ho" and cfg.command == "spectrum":
-        if cfg.method in ("rayleigh-ritz", "both"):
-            raise UsageError("half-ho supports only `--method shooting`")
-    if (cfg.command == "spectrum" and cfg.model_name in ("cq-box", "aq-box")
-            and cfg.method != "shooting" and cfg.levels > cfg.basis_size):
-        raise UsageError("--levels must be <= --basis-size when Rayleigh-Ritz runs")
-    if cfg.command == "spectrum" and cfg.dump_psi and cfg.method == "rayleigh-ritz":
-        raise UsageError("--dump-psi writes shooting wavefunctions; use --method shooting or both")
+    # which solvers a model admits follows from its declared walls
+    model = MODELS[cfg.model_name]
+    if cfg.command == "spectrum":
+        if not model.walls:
+            raise UsageError(f"{cfg.model_name} supports only `potential`")
+        if cfg.method in ("rayleigh-ritz", "both") and not ritz.has_basis(model):
+            raise UsageError(f"{cfg.model_name} supports only `--method shooting`")
+        if cfg.resolved_method() != "shooting" and cfg.levels > cfg.basis_size:
+            raise UsageError("--levels must be <= --basis-size when Rayleigh-Ritz runs")
+        if cfg.dump_psi and cfg.method == "rayleigh-ritz":
+            raise UsageError("--dump-psi writes shooting wavefunctions; use --method shooting or both")
+    if cfg.command == "convergence":
+        if not ritz.has_basis(model):
+            usable = " or ".join(name for name, cls in MODELS.items() if ritz.has_basis(cls))
+            raise UsageError(f"{cfg.model_name} has no basis-size convergence study; use {usable}")
+        if cfg.sizes[0] < cfg.levels:
+            raise UsageError("smallest basis size must be >= --levels")
     if cfg.command == "potential" and cfg.fmt == "json":
         raise UsageError("--format json: `potential` writes CSV only")
     return cfg
@@ -355,10 +347,11 @@ class ShootingLevel:
 def run_spectrum(cfg):
     """Solve the configured model; returns (report, exit_code)."""
     model = cfg.model()
-    method = cfg.method or ("shooting" if isinstance(model, HalfHarmonic) else "both")
+    method = cfg.resolved_method()
     report = _base_report(cfg)
     report["config"]["method"] = method
-    index_base = 1 if isinstance(model, CqBox) else 0
+    # the flat box numbers its closed-form modes from 1
+    index_base = 1 if model.walls == (DIRICHLET, DIRICHLET) else 0
     timings = {}
 
     rr = None
@@ -432,12 +425,10 @@ def run_check_derivatives(cfg):
         # and the quantity of interest is the delta at 0, not edge effects
         func, interior = flat_ramp(), True
         hs = [2.0 ** -k for k in range(6, 13)]
-    elif cfg.target == "cq-eigenfunction":
+    else:
         report["config"]["n"] = cfg.n
         func, interior = cq_eigenfunction_extended(cfg.n, BoxGeometry(cfg.b, cfg.hbar)), False
         hs = [cfg.b * 2.0 ** -k for k in range(6, 13)]
-    else:
-        raise UsageError(f"unknown target {cfg.target!r}; valid: toy, cq-eigenfunction")
 
     t0 = time.perf_counter()
     w2 = weak_second_derivative(func)
@@ -461,65 +452,34 @@ def run_check_derivatives(cfg):
     return report, EXIT_OK
 
 
-def _potential_grid(cfg, model):
-    b = cfg.b
-    defaults = {
-        "cq-box": (-0.99 * b, 0.99 * b),
-        "aq-box": (-0.99 * b, 0.99 * b),
-        "half-ho": (0.01 * math.sqrt(cfg.hbar), 6.0 * math.sqrt(cfg.hbar)),
-        "anti-box": (1.01 * b, 5.0 * b),
-    }
-    lo, hi = defaults[cfg.model_name]
-    if cfg.x_min is not None:
-        lo = cfg.x_min
-    if cfg.x_max is not None:
-        hi = cfg.x_max
-    if not lo < hi:
-        raise UsageError("--x-min must be < --x-max")
-    if cfg.points < 2:
-        raise UsageError("--points must be >= 2")
-    xs = np.linspace(lo, hi, cfg.points)
-    try:
-        evaluate_potential(model, xs)
-    except DomainError as exc:
-        raise UsageError(f"grid touches a singular point or leaves the domain: {exc}")
-    return xs
-
-
 def run_potential(cfg):
     """(x, V) CSV rows; aq-box adds the wall-asymptote ratio column."""
-    model = cfg.model()
-    xs = _potential_grid(cfg, model)
-    v = np.atleast_1d(evaluate_potential(model, xs))
-    lines = []
+    model, b, root = cfg.model(), cfg.b, math.sqrt(cfg.hbar)
+    lo, hi = {"cq-box": (-0.99 * b, 0.99 * b), "aq-box": (-0.99 * b, 0.99 * b),
+              "half-ho": (0.01 * root, 6.0 * root), "anti-box": (1.01 * b, 5.0 * b)}[cfg.model_name]
+    lo = lo if cfg.x_min is None else cfg.x_min
+    hi = hi if cfg.x_max is None else cfg.x_max
+    if not lo < hi:
+        raise UsageError("--x-min must be < --x-max")
+    xs = np.linspace(lo, hi, cfg.points)
+    try:
+        columns = [xs, evaluate_potential(model, xs)]
+    except DomainError as exc:
+        raise UsageError(f"grid touches a singular point or leaves the domain: {exc}")
+    header = "x,V"
     if cfg.model_name == "aq-box":
-        ratio = np.atleast_1d(boundary_asymptotic_ratio(xs, model.geom))
-        lines.append("x,V,boundary_asymptotic_ratio")
-        for x, vv, rr in zip(xs, v, ratio):
-            lines.append(f"{float(x)!r},{float(vv)!r},{float(rr)!r}")
-    else:
-        lines.append("x,V")
-        for x, vv in zip(xs, v):
-            lines.append(f"{float(x)!r},{float(vv)!r}")
-    return "\n".join(lines) + "\n", EXIT_OK
+        columns.append(boundary_asymptotic_ratio(xs, model.geom))
+        header += ",boundary_asymptotic_ratio"
+    rows = [",".join(repr(float(c)) for c in row) for row in zip(*columns)]
+    return _csv([header] + rows), EXIT_OK
 
 
 def run_convergence(cfg):
     """Basis-size sweep report."""
-    model = cfg.model()
-    sizes = cfg.sizes
-    if not sizes:
-        raise UsageError("--sizes must list at least one basis size")
-    if any(y <= x for x, y in zip(sizes, sizes[1:])):
-        raise UsageError("--sizes must be strictly ascending")
-    if sizes[0] < cfg.levels:
-        raise UsageError("smallest basis size must be >= --levels")
-    if sizes[-1] > ritz.MAX_BASIS:
-        raise UsageError(f"--sizes entries must be <= {ritz.MAX_BASIS}")
     report = _base_report(cfg)
-    report["config"]["sizes"] = list(sizes)
+    report["config"]["sizes"] = list(cfg.sizes)
     t0 = time.perf_counter()
-    table = ritz.convergence_sweep(model, sizes, cfg.levels)
+    table = ritz.convergence_sweep(cfg.model(), cfg.sizes, cfg.levels)
     report["convergence"] = {
         "sizes": list(table.sizes),
         "energies": [[float(e) for e in row] for row in table.energies],
@@ -529,8 +489,8 @@ def run_convergence(cfg):
     return report, EXIT_OK
 
 
-def run_validate(out=None):
-    results = acceptance.run_all(verbose=True, stream=out or sys.stdout)
+def run_validate():
+    results = acceptance.run_all(verbose=True, stream=sys.stdout)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
 
 
@@ -545,6 +505,10 @@ def hash_checked_region(report_json):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _csv(rows):
+    return "\n".join(rows) + "\n"
+
+
 def _spectrum_csv(report):
     levels = report["levels"]
     cols = sorted({key for rec in levels for key in rec})
@@ -554,58 +518,43 @@ def _spectrum_csv(report):
     for rec in levels:
         lines.append(",".join("" if rec.get(c) is None else repr(rec[c]) if isinstance(rec.get(c), float)
                               else str(rec.get(c, "")) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv(lines)
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _derivatives_csv(report):
+    return _csv(["h,norm"] + [f"{r['h']!r},{r['norm']!r}" for r in report["h_scaling"]])
+
+
+def _convergence_csv(report):
+    conv = report["convergence"]
+    header = "N," + ",".join(f"E{k}" for k in range(len(conv["energies"][0])))
+    return _csv([header] + [f"{n}," + ",".join(repr(e) for e in row)
+                            for n, row in zip(conv["sizes"], conv["energies"])])
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    # each report command's runner and CSV writer; built per call, so the
+    # runners are the module's bindings at call time, wrapped ones included
+    reports = {"spectrum": (run_spectrum, _spectrum_csv), "potential": (run_potential, str),
+               "check-derivatives": (run_check_derivatives, _derivatives_csv),
+               "convergence": (run_convergence, _convergence_csv)}
     try:
         try:
             cfg = parse_config(argv)
         except SystemExit as exc:  # argparse usage failure (or --help)
             return int(exc.code or 0)
-
         if cfg.command == "validate":
             return run_validate()
-        if cfg.command == "spectrum":
-            report, code = run_spectrum(cfg)
-            text = report_to_json(report) if cfg.fmt == "json" else _spectrum_csv(report)
-            _emit(text, cfg.out)
-            return code
-        if cfg.command == "potential":
-            text, code = run_potential(cfg)
-            _emit(text, cfg.out)
-            return code
-        if cfg.command == "check-derivatives":
-            report, code = run_check_derivatives(cfg)
-            if cfg.fmt == "json":
-                text = report_to_json(report)
-            else:
-                rows = ["h,norm"] + [f"{r['h']!r},{r['norm']!r}" for r in report["h_scaling"]]
-                text = "\n".join(rows) + "\n"
-            _emit(text, cfg.out)
-            return code
-        if cfg.command == "convergence":
-            report, code = run_convergence(cfg)
-            if cfg.fmt == "json":
-                text = report_to_json(report)
-            else:
-                conv = report["convergence"]
-                header = "N," + ",".join(f"E{k}" for k in range(len(conv["energies"][0])))
-                rows = [header] + [f"{n}," + ",".join(repr(e) for e in row)
-                                   for n, row in zip(conv["sizes"], conv["energies"])]
-                text = "\n".join(rows) + "\n"
-            _emit(text, cfg.out)
-            return code
-        raise UsageError(f"unknown command {cfg.command!r}")
+        run, to_csv = reports[cfg.command]
+        report, code = run(cfg)
+        text = report_to_json(report) if cfg.fmt == "json" else to_csv(report)
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

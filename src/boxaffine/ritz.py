@@ -42,10 +42,15 @@ class BasisSpec:
             raise ValueError("weight exponent must be 1 (Dirichlet) or 3/2 (singular walls)")
 
 
+def has_basis(model):
+    """Whether the model's walls are alike at both ends of a box, as basis_for needs."""
+    return model.walls in ((DIRICHLET, DIRICHLET), (INVERSE_SQUARE, INVERSE_SQUARE))
+
+
 def basis_for(model, n):
     """Basis matched to the model's walls, alike at both ends of the box:
     weight exponent 3/2 at inverse-square walls, 1 at Dirichlet ones."""
-    if model.walls not in ((DIRICHLET, DIRICHLET), (INVERSE_SQUARE, INVERSE_SQUARE)):
+    if not has_basis(model):
         raise ModelUnsupported(f"no finite-interval basis for {type(model).__name__}")
     return BasisSpec(n, 1.5 if model.walls[0] == INVERSE_SQUARE else 1.0, model.geom)
 

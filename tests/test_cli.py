@@ -52,7 +52,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("command, values", [
         ("spectrum", {"levels": "x"}), ("spectrum", {"b": None}),
-        ("potential", {"x-min": "a"})], ids=["levels", "b", "x-min"])
+        ("potential", {"x-min": "a"}),
+        # a value converts as its command-line text would: 2.9 and true are no ints
+        ("spectrum", {"levels": 2.9}), ("spectrum", {"levels": True}),
+        ("potential", {"points": 4.7})],
+        ids=["levels", "b", "x-min", "levels-float", "levels-bool", "points-float"])
     def test_config_bad_value_names_the_key(self, capsys, tmp_path, command, values):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(values))
@@ -368,6 +372,19 @@ class TestPotential:
         code, out, _ = run_cli(capsys, "potential", "--model", "half-ho", "--points", "10")
         assert code == 0
         assert len(out.strip().split("\n")) == 11
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("--model", "anti-box", "--W", "nan"), "--W"),
+        (("--model", "anti-box", "--W", "inf"), "--W"),
+        (("--x-min=-inf",), "--x-min"),
+        (("--x-max", "inf"), "--x-max"),
+        (("--model", "half-ho", "--x-max", "inf"), "--x-max")],
+        ids=["W-nan", "W-inf", "x-min", "x-max", "half-ho-x-max"])
+    def test_non_finite_value_is_usage_error(self, capsys, argv, flag):
+        # once a traceback (--W), or rows of nan and inf with exit 0
+        code, out, err = run_cli(capsys, "potential", *argv)
+        assert code == 2 and out == ""
+        assert flag in err
 
     def test_json_format_is_usage_error(self, capsys):
         # `potential` writes CSV only; an explicit --format json must not be ignored

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 import boxaffine
-import boxaffine.cli  # noqa: F401  (the tracer wraps names across every module)
-from boxaffine import shooting
+from boxaffine import cli, shooting  # cli too: the tracer wraps names across every module
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
@@ -43,3 +42,21 @@ def test_tracer_resolves_every_traced_name(monkeypatch):
     finally:
         tracer.uninstall()
     assert shooting.eigenvalue_search is original
+
+
+def test_tracer_sees_the_spectrum_runner_under_main(monkeypatch, capsys):
+    # main must look its runners up when called; a table bound at import time
+    # would keep the unwrapped run_spectrum, and its span would go missing
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["spectrum", "--model", "aq-box", "--levels", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    runs = [span for span in tracer.spans if span[0] == "cli.run_spectrum"]
+    assert len(runs) == 1 and names[runs[0][3]] == "cli.main"
