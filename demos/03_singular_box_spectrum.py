@@ -4,7 +4,8 @@ The potential hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 replaces the hard walls with
 a (3/4) hbar^2 / s^2 barrier at each side, which forces eigenfunctions to
 vanish like s^{3/2}.  No closed-form spectrum is known, so the numbers below
 are cross-validated: a variational solve in the (b^2-x^2)^{3/2}-weighted
-Legendre basis against an independent Numerov shooting search.
+Gegenbauer basis, whose matrices have a closed form, against an independent
+Numerov shooting search.
 """
 
 import numpy as np

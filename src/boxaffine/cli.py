@@ -15,6 +15,7 @@ codes: 0 success, 2 usage error (including a non-finite number, and --b or
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,8 +39,8 @@ AGREEMENT_THRESHOLD = 1e-5
 MODELS = {"cq-box": CqBox, "aq-box": AqBox, "half-ho": HalfHarmonic, "anti-box": AntiBox}
 MAX_LEVELS = 12
 # accepted --b and --hbar: inside it hbar^2/b^2 and the float powers of b and
-# hbar that the solvers take stay finite, so none raises OverflowError; a Ritz
-# matrix that still overflows (the aq-box overlap holds b^7) ends in exit 4
+# hbar that the solvers take stay finite, so none raises OverflowError; the
+# Ritz pencil holds only hbar^2/b and b
 SCALE_RANGE = (1e-50, 1e50)
 
 EXIT_OK = 0
@@ -168,6 +169,10 @@ def _dest(key):
     return _FLAGS[key].dest or key.replace("-", "_")
 
 
+# the keys each model field is filled from, in RunConfig.model
+_MODEL_FIELD_KEYS = {"geom": ("b", "hbar"), "hbar": ("hbar",), "W": ("W",)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A checked command line, one field per _FLAGS key."""
@@ -198,6 +203,17 @@ class RunConfig:
         cls = MODELS[self.model_name]
         return cls(**{f.name: values[f.name] for f in fields(cls)})
 
+    def unread_keys(self):
+        """Keys of the command's flags that this run, as resolved, ignores."""
+        if self.command == "check-derivatives":
+            return {"b", "n"} if self.target == "toy" else set()
+        unread = {"b", "hbar", "W"} - {key for f in fields(MODELS[self.model_name])
+                                      for key in _MODEL_FIELD_KEYS[f.name]}
+        if self.command == "spectrum":
+            unread |= {"rayleigh-ritz": {"grid-size", "tol"},
+                       "shooting": {"basis-size"}}.get(self.resolved_method(), set())
+        return unread
+
     def resolved_method(self):
         """--method, else both solvers where Rayleigh-Ritz has a basis for the
         model's walls, and shooting alone elsewhere."""
@@ -213,13 +229,14 @@ _COMMANDS = {
     "potential": ("dump (x, V) samples as CSV",
                   ("model", "b", "hbar", "W", "format", "out", "x-min", "x-max", "points")),
     "check-derivatives": ("weak-derivative structure and mesh scaling",
-                          ("b", "hbar", "format", "out", "target", "n")),
+                          ("b", "format", "out", "target", "n")),
     "convergence": ("eigenvalues across basis sizes",
                     ("model", "b", "hbar", "levels", "format", "out", "sizes")),
     "validate": ("run the built-in acceptance suite", ()),
 }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(prog="boxaffine",
                                      description="Box spectra with flat or inverse-square walls: "
@@ -302,6 +319,10 @@ def parse_config(argv):
             raise UsageError("smallest basis size must be >= --levels")
     if cfg.command == "potential" and cfg.fmt == "json":
         raise UsageError("--format json: `potential` writes CSV only")
+    given = set(file_cfg) | {key for key in _FLAGS if getattr(args, _dest(key), None) is not None}
+    ignored = sorted(given & cfg.unread_keys())
+    if ignored:
+        raise UsageError(f"{', '.join('--' + k for k in ignored)}: not read by this `{cfg.command}` run")
     return cfg
 
 
@@ -427,7 +448,7 @@ def run_check_derivatives(cfg):
         hs = [2.0 ** -k for k in range(6, 13)]
     else:
         report["config"]["n"] = cfg.n
-        func, interior = cq_eigenfunction_extended(cfg.n, BoxGeometry(cfg.b, cfg.hbar)), False
+        func, interior = cq_eigenfunction_extended(cfg.n, BoxGeometry(cfg.b)), False
         hs = [cfg.b * 2.0 ** -k for k in range(6, 13)]
 
     t0 = time.perf_counter()

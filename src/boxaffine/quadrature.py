@@ -1,8 +1,7 @@
-"""Gauss-Legendre rules and orthogonal-polynomial recurrences.
+"""Gauss-Legendre rules and the Laguerre recurrence.
 
 Everything here is plain dense numpy.  Gauss-Legendre rules are built once
-per order and cached read-only, so matrix assembly and norm integrals
-elsewhere in the package share them.
+per order and cached read-only, so every caller shares them.
 """
 
 import functools
@@ -18,39 +17,6 @@ class ConvergenceFailure(RuntimeError):
 MAX_ORDER = 512
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
-
-
-def legendre_table(nmax, t):
-    """Values and first derivatives of P_0..P_nmax at the points t.
-
-    Returns (P, dP), each of shape (nmax+1, len(t)).  The derivative uses the
-    recurrence dP_{k+1} = (2k+1) P_k + dP_{k-1}, which stays finite at t = +-1.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    P = np.empty((nmax + 1, t.size))
-    dP = np.empty((nmax + 1, t.size))
-    P[0] = 1.0
-    dP[0] = 0.0
-    if nmax >= 1:
-        P[1] = t
-        dP[1] = 1.0
-    for k in range(1, nmax):
-        P[k + 1] = ((2 * k + 1) * t * P[k] - k * P[k - 1]) / (k + 1)
-        dP[k + 1] = (2 * k + 1) * P[k] + dP[k - 1]
-    return P, dP
-
-
-def legendre_second_derivative_table(nmax, t):
-    """Second derivatives of P_0..P_nmax at t, via ddP_{k+1} = (2k+1) dP_k + ddP_{k-1}."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    _, dP = legendre_table(nmax, t)
-    ddP = np.empty((nmax + 1, t.size))
-    ddP[0] = 0.0
-    if nmax >= 1:
-        ddP[1] = 0.0
-    for k in range(1, nmax):
-        ddP[k + 1] = (2 * k + 1) * dP[k] + ddP[k - 1]
-    return ddP
 
 
 def laguerre_eval(alpha, n, t):

@@ -1,12 +1,15 @@
 """Variational spectral solver for the finite-interval box models.
 
-Trial functions are chi_k(x) = (b^2 - x^2)^w P_k(x/b): w = 3/2 cancels the
-inverse-square wall potential exactly (every matrix element becomes a
-polynomial integral, so Gauss quadrature is exact), w = 1 handles the flat
-Dirichlet box.  The generalized problem H v = lambda S v is solved by LAPACK
-(scipy.linalg.eigh), with each eigenvalue refined by one Rayleigh quotient.
+Trial functions are chi_n(x) = (1 - t^2)^w C_n(t), t = x/b, with C_n the
+Gegenbauer polynomial of order lambda = 2w - 1/2 orthonormal for the weight
+(1 - t^2)^{lambda - 1/2} (DLMF 18.3): w = 3/2 cancels the inverse-square wall
+potential, w = 1 handles the flat Dirichlet box.  The Gegenbauer equation and
+recurrence (DLMF 18.8-18.9) give the pencil H v = lambda S v in closed form;
+LAPACK (scipy.linalg.eigh) solves it, and one Rayleigh quotient refines each
+eigenvalue.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -14,8 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .boxmodes import BoxGeometry
-from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
-from .quadrature import gauss_legendre, legendre_second_derivative_table, legendre_table
+from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported
 from .shooting import count_nodes
 
 MAX_BASIS = 64
@@ -42,6 +44,11 @@ class BasisSpec:
             raise ValueError("weight exponent must be 1 (Dirichlet) or 3/2 (singular walls)")
 
 
+# per wall kind, alike at both ends: the weight exponent w, and the c of
+# -kappa chi_n'' + V chi_n = (kappa/b^2) (1 - t^2)^{w-1} (n(n + 2 lambda) + c) C_n
+_WALL_BASIS = {DIRICHLET: (1.0, 2.0), INVERSE_SQUARE: (1.5, 4.0)}
+
+
 def has_basis(model):
     """Whether the model's walls are alike at both ends of a box, as basis_for needs."""
     return model.walls in ((DIRICHLET, DIRICHLET), (INVERSE_SQUARE, INVERSE_SQUARE))
@@ -52,7 +59,7 @@ def basis_for(model, n):
     weight exponent 3/2 at inverse-square walls, 1 at Dirichlet ones."""
     if not has_basis(model):
         raise ModelUnsupported(f"no finite-interval basis for {type(model).__name__}")
-    return BasisSpec(n, 1.5 if model.walls[0] == INVERSE_SQUARE else 1.0, model.geom)
+    return BasisSpec(n, _WALL_BASIS[model.walls[0]][0], model.geom)
 
 
 @dataclass(frozen=True)
@@ -63,64 +70,43 @@ class GeneralizedEigProblem:
     S: np.ndarray
 
 
-def _basis_tables(basis, t, with_second=False):
-    """chi_k, chi_k' (and optionally chi_k'') sampled at t = x/b, shape (N, nt)."""
-    n, w, b = basis.size, basis.weight_exponent, basis.geom.b
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    P, dP = legendre_table(n - 1, t)
-    om = 1.0 - t * t
-    u = (b * b) ** w * om**w
-    du = -2.0 * w * b ** (2 * w - 1.0) * t * om ** (w - 1.0)
-    chi = u * P
-    dchi = du * P + u * dP / b
-    if not with_second:
-        return chi, dchi
-    ddP = legendre_second_derivative_table(n - 1, t)
-    d2u = b ** (2 * w - 2.0) * (-2.0 * w * om ** (w - 1.0)
-                                + 4.0 * w * (w - 1.0) * t * t * om ** (w - 2.0))
-    d2chi = d2u * P + 2.0 * du * dP / b + u * ddP / (b * b)
-    return chi, dchi, d2chi
+def _recurrence(basis):
+    """lambda, and a_0 = 0, a_1..a_N of t C_k = a_{k+1} C_{k+1} + a_k C_{k-1}."""
+    lam = 2.0 * basis.weight_exponent - 0.5
+    k = np.arange(basis.size + 1.0)
+    return lam, np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+
+
+def _sample(basis, t):
+    """1 - t^2, and C_0..C_{N-1} at the points t, shape (N, len(t))."""
+    lam, a = _recurrence(basis)
+    C = np.zeros((basis.size + 1, t.size))  # row k + 1 holds C_k
+    C[1] = (math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)) ** -0.5
+    for k in range(basis.size - 1):
+        C[k + 2] = (t * C[k + 1] - a[k] * C[k]) / a[k + 1]
+    return 1.0 - t * t, C[1:]
+
+
+def _stiffness(model, basis):
+    """n(n + 2 lambda) + c for n < N: the diagonal of H, in units of kappa/b."""
+    w, c = _WALL_BASIS[model.walls[0]]
+    n = np.arange(basis.size)
+    return n * (n + 4 * w - 1) + c
 
 
 def assemble_matrices(model, basis=None):
-    """Stiffness and overlap matrices by exact Gauss quadrature.
-
-    The kinetic term uses the integration-by-parts form
-    int [kappa chi_j' chi_k' + V chi_j chi_k]; boundary terms vanish because
-    the trial functions (and, for w = 3/2, their first derivatives) are zero
-    at the walls.  V * chi_j * chi_k is computed with the weight already
-    cancelled against the potential's denominator, so every integrand is a
-    polynomial and the 2N + 8 point rule is exact up to rounding.
-    """
-    default = basis_for(model, 32)  # raises ModelUnsupported off the two boxes
-    if basis is None:
-        basis = default
-    rule = gauss_legendre(2 * basis.size + 8)
-
-    b, hbar = basis.geom.b, basis.geom.hbar
-    w = basis.weight_exponent
-    t, wq = rule.nodes, rule.weights * b  # x = b t
-    chi, dchi = _basis_tables(basis, t)
-
-    H = model.kappa * np.einsum("i,ji,ki->jk", wq, dchi, dchi)
-    if model.walls[0] == INVERSE_SQUARE:  # the aq-box potential
-        x = b * t
-        om = (b * b) * (1.0 - t * t)
-        # V * chi_j * chi_k = hbar^2 (2x^2 + b^2) (b^2 - x^2)^{2w-2} P_j P_k * ...
-        vfac = hbar**2 * (2.0 * x * x + b * b) * om ** (2.0 * w - 2.0)
-        P, _ = legendre_table(basis.size - 1, t)
-        H += np.einsum("i,ji,ki->jk", wq * vfac, P, P)
-    S = np.einsum("i,ji,ki->jk", wq, chi, chi)
-
-    # the integrands are symmetric in (j, k) and exactly odd over the
-    # symmetric interval when j + k is odd; enforce both against BLAS rounding
-    H = 0.5 * (H + H.T)
-    S = 0.5 * (S + S.T)
-    j = np.arange(basis.size)
-    odd = (j[:, None] + j[None, :]) % 2 == 1
-    H[odd] = 0.0
-    S[odd] = 0.0
-    return GeneralizedEigProblem(H, S)
+    """H = int [kappa chi_m' chi_n' + V chi_m chi_n] dx and S = int chi_m chi_n dx
+    in closed form: H is diagonal, and S = b (I - J^2)[:N, :N] since chi_m chi_n
+    carries one factor 1 - t^2 beyond the weight, with J the (N+1)-square
+    Jacobi matrix so that the block is exact."""
+    basis = basis or basis_for(model, 32)
+    if basis != basis_for(model, basis.size):  # raises ModelUnsupported off the two boxes
+        raise ValueError("basis does not match the model's walls and box")
+    n, b = basis.size, basis.geom.b
+    a = _recurrence(basis)[1][1:]
+    J = np.diag(a, 1) + np.diag(a, -1)
+    return GeneralizedEigProblem(np.diag(model.kappa / b * _stiffness(model, basis)),
+                                 b * (np.eye(n) - (J @ J)[:n, :n]))
 
 
 def solve_generalized_symmetric(prob):
@@ -129,8 +115,9 @@ def solve_generalized_symmetric(prob):
     LAPACK dsygvd gives the eigenvectors; each eigenvalue is then replaced by
     its Rayleigh quotient v^T H v / v^T S v, whose error is quadratic in the
     eigenvector's.  That restores the relative accuracy the tridiagonal solve
-    loses on the graded, ill-conditioned overlap matrices (cond(S) ~ 5e8 at
-    N = 64), so basis sweeps stay variationally monotone.  Eigenvector signs
+    loses on the low levels, which are up to 2e5 times smaller than the
+    highest at N = 64 (without it they fall ~5e-12 relative below the exact
+    values), so basis sweeps stay variationally monotone.  Eigenvector signs
     are fixed (largest-magnitude component positive) for determinism.
     """
     H, S = prob.H, prob.S
@@ -181,19 +168,21 @@ class SpectrumResult:
         out = np.zeros_like(xv)
         inside = np.abs(xv) < b
         if inside.any():
-            chi, _ = _basis_tables(self.basis, xv[inside] / b)
-            out[inside] = self.coefficients[:, k] @ chi
+            om, C = _sample(self.basis, xv[inside] / b)
+            out[inside] = om**self.basis.weight_exponent * (self.coefficients[:, k] @ C)
         return float(out[0]) if scalar else out
 
 
 def compute_spectrum(model, n_basis=32, n_diagnostics=None):
     """Assemble, solve, and attach diagnostics for the lowest levels.
 
-    Parity comes from the even/odd Legendre coefficient support, node counts
+    Parity comes from the even/odd Gegenbauer coefficient support, node counts
     from sign changes on a 2048-point interior grid (10^-6 b wall margin),
     boundary exponents from the log-log slope of |psi| over
     b - |x| in [1e-4 b, 1e-2 b], and the residual is the worst relative
-    pointwise defect of -kappa psi'' + V psi - E psi away from the walls.
+    pointwise defect of -kappa psi'' + V psi - E psi away from the walls, which
+    is (kappa/b^2) (1 - t^2)^{w-1} sum c_n (mu_n - eps (1 - t^2)) C_n with mu the
+    stiffness diagonal and eps = E b^2/kappa: no derivative needs sampling.
     """
     basis = basis_for(model, n_basis)
     prob = assemble_matrices(model, basis)
@@ -201,17 +190,18 @@ def compute_spectrum(model, n_basis=32, n_diagnostics=None):
 
     if n_diagnostics is None:
         n_diagnostics = min(n_basis, 12)
-    b = basis.geom.b
-    kappa = model.kappa
+    b, w = basis.geom.b, basis.weight_exponent
+    scale = model.kappa / (b * b)
+    mu = _stiffness(model, basis)
 
-    grid = np.linspace(-b * (1.0 - 1e-6), b * (1.0 - 1e-6), 2048)
-    chi_g, _, d2chi_g = _basis_tables(basis, grid / b, with_second=True)
-    v_grid = evaluate_potential(model, grid)
+    t = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 2048)
+    om, C = _sample(basis, t)
 
     s_fit = np.geomspace(1e-4 * b, 1e-2 * b, 40)
-    chi_fit, _ = _basis_tables(basis, (b - s_fit) / b)
+    om_fit, C_fit = _sample(basis, (b - s_fit) / b)
+    chi_fit = om_fit**w * C_fit
 
-    interior = np.abs(grid) <= b * (1.0 - 1e-2)
+    interior = np.abs(t) <= 1.0 - 1e-2
 
     levels = []
     for k in range(min(n_diagnostics, n_basis)):
@@ -221,14 +211,14 @@ def compute_spectrum(model, n_basis=32, n_diagnostics=None):
         odd_w = np.linalg.norm(c[1::2])
         parity = "even" if even_w >= odd_w else "odd"
 
-        psi = c @ chi_g
+        f = c @ C
+        psi = om**w * f
         nodes = count_nodes(psi)
 
         psi_fit = np.abs(c @ chi_fit)
         slope = float(np.polyfit(np.log(s_fit), np.log(psi_fit), 1)[0])
 
-        d2psi = c @ d2chi_g
-        defect = -kappa * d2psi + v_grid * psi - energy * psi
+        defect = scale * om ** (w - 1.0) * ((c * mu) @ C - energy / scale * om * f)
         residual = float(np.max(np.abs(defect[interior])) / (abs(energy) * np.max(np.abs(psi))))
 
         degenerate = bool(

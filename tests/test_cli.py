@@ -128,12 +128,40 @@ class TestParseConfig:
     @pytest.mark.parametrize("method, expected", [
         ("both", 2), ("rayleigh-ritz", 2), ("shooting", 0)])
     def test_levels_beyond_basis_size(self, capsys, method, expected):
-        # Ritz has only --basis-size levels; shooting is not bound by it
-        code, _, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--basis-size", "4",
-                               "--levels", "6", "--method", method)
+        # Ritz has only --basis-size levels; shooting reads no --basis-size
+        argv = ["spectrum", "--model", "aq-box", "--levels", "6", "--method", method]
+        if method != "shooting":
+            argv += ["--basis-size", "4"]
+        code, _, err = run_cli(capsys, *argv)
         assert code == expected
         if expected == 2:
             assert "--basis-size" in err
+
+    @pytest.mark.parametrize("argv, config, flag", [
+        (("spectrum", "--model", "half-ho", "--b", "5"), None, "--b"),
+        (("spectrum", "--model", "half-ho"), {"b": 5}, "--b"),
+        (("spectrum", "--model", "aq-box", "--method", "rayleigh-ritz", "--grid-size", "5000"),
+         None, "--grid-size"),
+        (("spectrum", "--model", "cq-box", "--method", "rayleigh-ritz"), {"tol": 1e-9}, "--tol"),
+        (("spectrum", "--model", "aq-box", "--method", "shooting", "--basis-size", "16"), None,
+         "--basis-size"),
+        (("potential", "--model", "cq-box", "--W", "3"), None, "--W"),
+        (("potential", "--model", "half-ho", "--b", "9"), None, "--b"),
+        (("check-derivatives", "--target", "toy", "--n", "2"), None, "--n"),
+        (("check-derivatives", "--target", "toy"), {"b": 2}, "--b"),
+        (("check-derivatives", "--target", "cq-eigenfunction", "--hbar", "2"), None, "--hbar"),
+    ], ids=["half-ho-b", "half-ho-b-config", "ritz-grid-size", "ritz-tol-config",
+            "shooting-basis-size", "cq-box-W", "half-ho-potential-b", "toy-n", "toy-b-config",
+            "check-derivatives-hbar"])
+    def test_flag_the_run_ignores_is_usage_error(self, capsys, tmp_path, argv, config, flag):
+        # a value the resolved run would ignore is named, not echoed as if used
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ("--config", str(path))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert flag in err
 
     def test_mode_index_below_one(self, capsys):
         code, _, err = run_cli(capsys, "check-derivatives", "--target", "cq-eigenfunction",
@@ -270,12 +298,16 @@ class TestSpectrum:
         assert code == 4
         assert "NotPositiveDefinite" in err
 
-    def test_overlap_overflow_is_solver_failure(self, capsys):
-        # the (b^2 - x^2)^{3/2} weight puts b^7 into the overlap matrix
-        code, out, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--b", "1e45",
-                                 "--method", "rayleigh-ritz", "--levels", "1")
-        assert code == 4
-        assert "NotPositiveDefinite" in err and out == ""
+    def test_large_box_scales_like_unit_box(self, capsys):
+        # the pencil holds only hbar^2/b and b, so no power of b overflows
+        energies = {}
+        for b in ("1", "1e45"):
+            code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--b", b,
+                                   "--method", "rayleigh-ritz", "--levels", "3")
+            assert code == 0
+            energies[b] = np.array([lv["energy"] for lv in json.loads(out)["levels"]])
+        scaled = energies["1e45"] * 1e90
+        assert np.max(np.abs(scaled - energies["1"]) / energies["1"]) <= 1e-13
 
     def test_bracket_failure_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -331,15 +363,16 @@ class TestEnergyScales:
 
 def test_spectrum_run_leaves_scipy_optimize_unloaded():
     # the search carries its own Brent root finder; importing scipy.optimize
-    # would add ~0.25 s and ~20 MB to every process
+    # would add ~0.25 s and ~20 MB to every process, and scipy.special 0.05-0.3 s
+    # (Ritz takes its Gamma values from math)
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
     code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    rc = cli.main(['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2'])\n"
-            "print(rc, 'scipy.optimize' in sys.modules)")
+            "print(rc, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.strip() == "0 False"
+    assert out.strip() == "0 False False"
 
 
 class TestPotential:

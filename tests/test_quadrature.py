@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxaffine.quadrature import gauss_legendre, laguerre_eval, legendre_table
+from boxaffine.quadrature import gauss_legendre, laguerre_eval
 
 
 def analytic_monomial_integral(k):
@@ -56,42 +56,6 @@ class TestGaussLegendre:
     def test_mapped_interval(self):
         rule = gauss_legendre(8)
         assert rule.integrate(lambda x: x * x, 0.0, 3.0) == pytest.approx(9.0, rel=1e-14)
-
-
-def legendre(k, t):
-    """P_k at the points t: row k of the table."""
-    return legendre_table(k, t)[0][k]
-
-
-class TestLegendre:
-    def test_degree_zero_and_one(self):
-        assert legendre(0, 0.77)[0] == 1.0
-        assert legendre(1, 0.3)[0] == pytest.approx(0.3)
-
-    def test_degree_two_value(self):
-        # recurrence: (3 * 0.25 - 1) / 2
-        assert legendre(2, 0.5)[0] == pytest.approx(-0.125, abs=1e-15)
-
-    def test_orthogonality_under_quadrature(self):
-        for j in range(13):
-            for k in range(13):
-                rule = gauss_legendre(max(1, j + k))
-                val = rule.integrate(lambda t: legendre(j, t) * legendre(k, t))
-                expected = 2.0 / (2 * k + 1) if j == k else 0.0
-                assert val == pytest.approx(expected, abs=1e-12)
-
-    def test_recurrence_stays_bounded(self):
-        t = np.linspace(-1.0, 1.0, 1001)
-        P, _ = legendre_table(256, t)
-        assert np.max(np.abs(P)) <= 1.0 + 1e-12
-
-    def test_derivative_table_matches_difference(self):
-        t = np.linspace(-0.9, 0.9, 11)
-        P, dP = legendre_table(8, t)
-        h = 1e-6
-        for k in (2, 5, 8):
-            approx = (legendre(k, t + h) - legendre(k, t - h)) / (2 * h)
-            assert dP[k] == pytest.approx(approx, abs=1e-7)
 
 
 class TestLaguerre:

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import brentq
+from scipy.special import eval_gegenbauer, pro_cv
 
 from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import AqBox, CqBox, HalfHarmonic, ModelUnsupported, evaluate_potential
+from boxaffine.quadrature import gauss_legendre
 from boxaffine.ritz import (BasisSpec, GeneralizedEigProblem, NoConvergence,
-                            NotPositiveDefinite, assemble_matrices, basis_for, compute_spectrum,
-                            convergence_sweep, solve_generalized_symmetric)
+                            NotPositiveDefinite, _sample, assemble_matrices, basis_for,
+                            compute_spectrum, convergence_sweep, solve_generalized_symmetric)
 
 GEOM = BoxGeometry(1.0, 1.0)
 AQ = AqBox(GEOM)
@@ -55,6 +58,17 @@ class TestAssembly:
         with pytest.raises(ModelUnsupported):
             basis_for(HalfHarmonic(1.0), 8)
 
+    def test_basis_must_match_model(self):
+        # the closed-form pencil holds only in the basis matched to the walls and box
+        with pytest.raises(ValueError):
+            assemble_matrices(CQ, BasisSpec(4, 1.5, GEOM))
+        with pytest.raises(ValueError):
+            assemble_matrices(AQ, BasisSpec(4, 1.0, GEOM))
+        with pytest.raises(ValueError):
+            assemble_matrices(AQ, BasisSpec(4, 1.5, BoxGeometry(2.0, 1.0)))
+        with pytest.raises(ModelUnsupported):
+            assemble_matrices(HalfHarmonic(1.0), BasisSpec(4, 1.5, GEOM))
+
     def test_basis_validation(self):
         with pytest.raises(ValueError):
             BasisSpec(0, 1.0, GEOM)
@@ -62,6 +76,35 @@ class TestAssembly:
             BasisSpec(65, 1.5, GEOM)
         with pytest.raises(ValueError):
             BasisSpec(8, 2.0, GEOM)
+
+
+class TestGegenbauer:
+    """The sampled basis polynomials: C_n of order lambda = 2w - 1/2,
+    orthonormal for the weight (1 - t^2)^{lambda - 1/2}."""
+
+    def test_orthonormal_under_quadrature(self):
+        # the weight is (1 - t^2)^2 or (1 - t^2), so the integrands are
+        # polynomials of degree <= 2 * 63 + 4, exact under 70 points
+        rule = gauss_legendre(70)
+        t, wq = rule.nodes, rule.weights
+        for w in (1.0, 1.5):
+            _, C = _sample(BasisSpec(64, w, GEOM), t)
+            gram = np.einsum("i,ji,ki->jk", wq * (1.0 - t * t) ** (2 * w - 1), C, C)
+            assert np.max(np.abs(gram - np.eye(64))) <= 1e-12
+
+    def test_matches_scipy_gegenbauer(self):
+        # C_n^(lambda) / sqrt(h_n), h_n = 2^{1-2 lambda} pi Gamma(n + 2 lambda)
+        # / ((n + lambda) Gamma(lambda)^2 n!)  (DLMF 18.3)
+        t = np.linspace(-1.0, 1.0, 41)
+        for w in (1.0, 1.5):
+            lam = 2 * w - 0.5
+            _, C = _sample(BasisSpec(64, w, GEOM), t)
+            for n in (0, 1, 2, 7, 31, 63):
+                h = (2.0 ** (1 - 2 * lam) * math.pi * math.gamma(n + 2 * lam)
+                     / ((n + lam) * math.gamma(lam) ** 2 * math.factorial(n)))
+                expected = eval_gegenbauer(n, lam, t) / math.sqrt(h)
+                scale = np.max(np.abs(expected))
+                assert np.max(np.abs(C[n] - expected)) <= 1e-12 * scale
 
 
 class TestGeneralizedEigensolver:
@@ -195,6 +238,31 @@ class TestSpectrum:
         assert np.array_equal(s1.coefficients, s2.coefficients)
 
 
+@pytest.fixture(scope="module")
+def spheroidal_c():
+    """c_k for k = 0..11, the root of lambda_{2,k+2}(c) = c^2 + 2 (prolate
+    spheroidal characteristic values, DLMF 30.3): the aq-box levels are
+    E_k = c_k^2 hbar^2 / b^2, computed here by neither solver."""
+    def root(k):
+        return brentq(lambda c: pro_cv(2, k + 2, c) - c * c - 2.0, 1e-3, math.pi * (k + 3),
+                      xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    return np.array([root(k) for k in range(12)])
+
+
+@pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (1e-40, 1.0), (1e3, 1e-3), (1.0, 1e12),
+                                     (1e45, 1.0)])
+def test_levels_against_independent_references(spheroidal_c, b, hbar):
+    geom = BoxGeometry(b, hbar)
+    aq = compute_spectrum(AqBox(geom), 48).eigenvalues[:12]
+    ref = spheroidal_c**2 * hbar**2 / b**2
+    rel = (aq - ref) / ref
+    assert np.max(np.abs(rel)) <= 2e-14
+    assert np.min(rel) >= -1e-14  # the variational bound, up to rounding
+    cq = compute_spectrum(CqBox(geom), 48).eigenvalues[:12]
+    exact = np.array([cq_eigenvalue(n, geom) for n in range(1, 13)])
+    assert np.max(np.abs(cq - exact) / exact) <= 1e-14
+
+
 class TestConvergenceSweep:
     def test_variational_monotonicity(self):
         table = convergence_sweep(AQ, (8, 12, 16, 24, 32, 48), 6)
@@ -203,10 +271,11 @@ class TestConvergenceSweep:
     @pytest.mark.parametrize("model_cls", [AqBox, CqBox])
     @pytest.mark.parametrize("decade", range(-2, 5))
     def test_relative_monotonicity_across_scales(self, model_cls, decade):
-        # hbar^2/b^2 = 10^decade, with b and hbar both moved off 1.  cond(S)
-        # reaches ~5e8 at N = 64, so an eigensolver accurate only to
-        # eps * |A| lets the low levels rise by up to ~7e-12 relative from one
-        # size to the next; a rounding-level rise is ~2e-14.
+        # hbar^2/b^2 = 10^decade, with b and hbar both moved off 1.  The
+        # lowest level is up to 2e5 times smaller than the highest at N = 64,
+        # so an eigensolver accurate only to eps * |A| lets the low levels
+        # rise by up to ~3e-12 relative from one size to the next; a
+        # rounding-level rise is ~1e-15.
         hbar = 10.0 ** (decade / 4)
         model = model_cls(BoxGeometry(10.0 ** (-decade / 4), hbar))
         table = convergence_sweep(model, (12, 16, 24, 32, 48, 64), 12)
