@@ -55,11 +55,11 @@ class QuadratureRule:
 
 
 def _legendre_and_derivative(n, t):
-    # P_n and P'_n at interior points; the derivative uses the standard
-    # relation (t^2 - 1) P'_n = n (t P_n - P_{n-1}).
-    p_prev = np.ones_like(t)
-    p = t.copy()
-    for j in range(1, n):
+    # P_n and P'_n at interior points, n >= 0; the derivative uses the
+    # standard relation (t^2 - 1) P'_n = n (t P_n - P_{n-1}).
+    p_prev = np.zeros_like(t)
+    p = np.ones_like(t)
+    for j in range(n):
         p, p_prev = ((2 * j + 1) * t * p - j * p_prev) / (j + 1), p
     dp = n * (t * p - p_prev) / (t * t - 1.0)
     return p, dp
