@@ -190,42 +190,39 @@ def compute_spectrum(model, n_basis=32, n_diagnostics=None):
 
     if n_diagnostics is None:
         n_diagnostics = min(n_basis, 12)
+    count = min(n_diagnostics, n_basis)
     b, w = basis.geom.b, basis.weight_exponent
     scale = model.kappa / (b * b)
     mu = _stiffness(model, basis)
 
+    # the 2048 interior points and the 40 fit points at b - s, sampled at once
     t = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 2048)
-    om, C = _sample(basis, t)
-
     s_fit = np.geomspace(1e-4 * b, 1e-2 * b, 40)
-    om_fit, C_fit = _sample(basis, (b - s_fit) / b)
-    chi_fit = om_fit**w * C_fit
-
+    om, C = _sample(basis, np.concatenate([t, (b - s_fit) / b]))
+    om, om_fit, C, C_fit = om[:t.size], om[t.size:], C[:, :t.size], C[:, t.size:]
     interior = np.abs(t) <= 1.0 - 1e-2
 
+    # one row per diagnosed level
+    c = vecs[:, :count]
+    energies = evals[:count]
+    parity_even = np.linalg.norm(c[0::2], axis=0) >= np.linalg.norm(c[1::2], axis=0)
+    F = c.T @ C
+    psi = om**w * F
+    slopes = np.polyfit(np.log(s_fit), np.log(np.abs(c.T @ (om_fit**w * C_fit))).T, 1)[0]
+    defect = scale * om ** (w - 1.0) * ((c.T * mu) @ C - (energies / scale)[:, None] * om * F)
+    residuals = (np.max(np.abs(defect[:, interior]), axis=1)
+                 / (np.abs(energies) * np.max(np.abs(psi), axis=1)))
+
     levels = []
-    for k in range(min(n_diagnostics, n_basis)):
-        c = vecs[:, k]
-        energy = float(evals[k])
-        even_w = np.linalg.norm(c[0::2])
-        odd_w = np.linalg.norm(c[1::2])
-        parity = "even" if even_w >= odd_w else "odd"
-
-        f = c @ C
-        psi = om**w * f
-        nodes = count_nodes(psi)
-
-        psi_fit = np.abs(c @ chi_fit)
-        slope = float(np.polyfit(np.log(s_fit), np.log(psi_fit), 1)[0])
-
-        defect = scale * om ** (w - 1.0) * ((c * mu) @ C - energy / scale * om * f)
-        residual = float(np.max(np.abs(defect[interior])) / (abs(energy) * np.max(np.abs(psi))))
-
+    for k in range(count):
+        energy = float(energies[k])
         degenerate = bool(
             (k + 1 < evals.size and abs(evals[k + 1] - energy) < 1e-12 * abs(energy))
             or (k > 0 and abs(energy - evals[k - 1]) < 1e-12 * abs(energy))
         )
-        levels.append(LevelDiagnostics(k, energy, parity, nodes, slope, residual, degenerate))
+        levels.append(LevelDiagnostics(k, energy, "even" if parity_even[k] else "odd",
+                                       count_nodes(psi[k]), float(slopes[k]),
+                                       float(residuals[k]), degenerate))
 
     return SpectrumResult(basis, evals, vecs, tuple(levels))
 

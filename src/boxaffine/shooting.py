@@ -4,10 +4,12 @@ Integrates psi'' = (V - E) psi / kappa inward from the ends of the model's
 declared interval, launched as each end's wall asks, and matches at the
 centre of a mirror-symmetric model or else at the potential minimum.  On a
 mirror-symmetric model the branch from the right end is the left one
-mirrored, so one left sweep gives both.  Eigenvalues are located by
-node-count bracketing plus a Brent root of the Pruefer-normalised matching
-Wronskian -- the pole-free form of the log-derivative mismatch.  Fully
-independent of the variational solver, which it cross-checks.
+mirrored, so one left sweep through the centre gives both, and with them
+the node count over the whole grid.  Eigenvalues are located by node-count
+bracketing plus a Brent root of the folded angle between the two branches'
+Pruefer phases at the match point -- the pole-free form of the
+log-derivative mismatch.  Fully independent of the variational solver, which
+it cross-checks.
 
 A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
 sweep plants the regular Frobenius solution s^{3/2} sum a_n u^n, with s the
@@ -109,6 +111,21 @@ def default_grid(model, size=20001):
 
 _RESCALE_EVERY = 512  # Numerov steps between overflow checks
 
+# The kernel's band, shared by all sweeps and grown on demand.  Its +-1
+# entries do not depend on T and are written once, when it grows.
+_band = np.zeros((4, 0), order="F")
+
+
+def _band_for(steps):
+    global _band
+    if _band.shape[1] < 2 * steps:
+        _band = np.zeros((4, 2 * steps), order="F")
+        _band[1, 0::2] = -1.0
+        _band[2, 0::2] = -1.0
+        _band[0, 1::2] = 1.0
+        _band[2, 1::2] = -1.0
+    return _band[:, :2 * steps]
+
 
 def _numerov(T, psi, i0):
     # Numerov in summed (difference) form, T_i = h^2 g_i / 12: the potential
@@ -124,14 +141,13 @@ def _numerov(T, psi, i0):
     n = T.shape[0]
     steps = n - 1 - i0
     # lower band storage, ab[r, j] = A[j + r, j]; column 2s holds delta_{i0+s},
-    # column 2s+1 holds psi_{i0+s+1}
-    ab = np.zeros((4, 2 * steps), order="F")
+    # column 2s+1 holds psi_{i0+s+1}.  Only the three T rows are written here,
+    # over this sweep's columns: the entry of the last column below its
+    # diagonal may hold an earlier, longer sweep's value, but it lies past the
+    # system, and LAPACK never reads a band entry past a block's last column.
+    ab = _band_for(steps)
     ab[0, 0::2] = 1.0 - T[i0 + 1:]
-    ab[1, 0::2] = -1.0
-    ab[2, 0::2] = -1.0
-    ab[0, 1::2] = 1.0
     ab[1, 1:-1:2] = -(T[i0 + 2:] + 10.0 * T[i0 + 1:-1])
-    ab[2, 1::2] = -1.0
     ab[3, 1::2] = -T[i0 + 1:]
 
     delta = psi[i0] - psi[i0 - 1]
@@ -315,23 +331,58 @@ def _onesided_nodes(psi_l, T):
     return count_nodes(psi_l[: n - tail])
 
 
+def _mirrored_nodes(psi_l, n):
+    """Node count of the left sweep over the whole n-point grid of a mirror-
+    symmetric model, from its values through the centre alone.
+
+    The grid problem splits into an even and an odd half problem, and the
+    discrete Sturm count of each follows from the left half (Bailey, Everitt
+    and Zettl 2001).  On an odd grid with centre c = (n - 1) / 2 the count is
+    2 nodes(u[:c+1]) + [u_c (u_{c+1} - u_{c-1}) < 0]; on an even one, with
+    central points p = n/2 - 1 and q = p + 1, it is
+    2 nodes(u[:p+1]) + [u_p (u_p + u_q) < 0] + [u_p (u_q - u_p) < 0].
+    The mirrored matching Wronskian is proportional to u_c (u_{c+1} - u_{c-1})
+    on an odd grid and to u_q^2 - u_p^2 on an even one, so the count steps
+    exactly at its zeros.
+    """
+    p = (n - 1) // 2
+    count = 2 * count_nodes(psi_l[:p + 1])
+    u, q = psi_l[p], psi_l[p + 1]
+    if n % 2:
+        return count + int(u * (q - psi_l[p - 1]) < 0)
+    return count + int(u * (u + q) < 0) + int(u * (q - u) < 0)
+
+
+def _mirrored_sweep(setup, E):
+    """One left sweep of a mirror-symmetric model at E through max(m, m*) + 1,
+    about half the grid, which holds both the node count over the whole grid
+    and the matching Wronskian; both are memoised."""
+    n, m = setup.xs.size, setup.match
+    stop = max(m, n - 1 - m) + 2
+    T = _numerov_t(setup.model, E, setup.grid, setup.V[:stop])
+    psi_l = _sweep_left(setup, E, T, stop)
+    setup.nodes[E] = _mirrored_nodes(psi_l, n)
+    setup.wronskians[E] = _mirrored_wronskian(setup, E, psi_l)
+
+
 def _nodes(setup, E):
-    """One-sided node count at E over the whole grid, memoised.  On a mirror-
-    symmetric model the same sweep holds the mirrored matching Wronskian at E,
-    which is memoised with it."""
-    count = setup.nodes.get(E)
-    if count is None:
-        T = _numerov_t(setup.model, E, setup.grid, setup.V)
-        psi_l = _sweep_left(setup, E, T, T.size)
-        count = setup.nodes[E] = _onesided_nodes(psi_l, T)
+    """One-sided node count at E over the whole grid, memoised.  A mirror-
+    symmetric model sweeps half the grid (``_mirrored_sweep``), the half line
+    the whole of it."""
+    if E not in setup.nodes:
         if setup.model.symmetric:
-            setup.wronskians.setdefault(E, _mirrored_wronskian(setup, E, psi_l))
-    return count
+            _mirrored_sweep(setup, E)
+        else:
+            T = _numerov_t(setup.model, E, setup.grid, setup.V)
+            setup.nodes[E] = _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+    return setup.nodes[E]
 
 
 def _pruefer_wronskian(setup, E, left, right):
     # from each branch's values at m - 1, m, m + 1, each branch scaled to unit
-    # Pruefer amplitude at the match point, so a sweep's overall scale drops out
+    # Pruefer amplitude at the match point, so a sweep's overall scale drops out;
+    # the angle between the two Pruefer vectors, folded into [-pi/2, pi/2] so
+    # that it also vanishes, without a jump, where the branches are antiparallel
     two_h = 2.0 * setup.grid.spacing
     l0, dl = float(left[1]), float(left[2] - left[0]) / two_h
     r0, dr = float(right[1]), float(right[2] - right[0]) / two_h
@@ -339,7 +390,9 @@ def _pruefer_wronskian(setup, E, left, right):
     amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
     if amp_l == 0.0 or amp_r == 0.0:
         return math.nan
-    return ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
+    sine = ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
+    cosine = (l0 / amp_l) * (r0 / amp_r) + (dl / amp_l) * (dr / amp_r) / (k * k)
+    return math.atan2(sine, abs(cosine))
 
 
 def _mirrored_wronskian(setup, E, psi_l):
@@ -359,26 +412,26 @@ def _wronskian(setup, E):
     sqrt(psi^2 + (psi'/k)^2) at the match point, k = sqrt(|E - V_m| / kappa);
     memoised per (model, grid).
 
-    Divided by k, it is the sine of the angle between the two branches'
-    Pruefer phases: bounded, smooth in E, and zero exactly at an eigenvalue,
-    wherever the level's nodes sit.  On a mirror-symmetric model one left
-    sweep through max(m, m*) + 1, about half the grid, gives both branches
-    (``_mirrored_wronskian``), and a node probe at E already holds it.
-    Otherwise the left branch is swept through m + 1 and the right one from
-    m - 1, about one grid sweep in all.
+    It is the angle between the two branches' Pruefer vectors (psi, psi'/k),
+    folded into [-pi/2, pi/2]: bounded, smooth in E, zero exactly at an
+    eigenvalue wherever the level's nodes sit, and with the sign of the
+    sine.  Near a root it is linear in the phase, so Brent's steps from a
+    wide bracket land closer than on the sine.  On a mirror-symmetric model
+    one left sweep through max(m, m*) + 1, about half the grid, gives both
+    branches (``_mirrored_wronskian``) and the node count at E
+    (``_mirrored_sweep``).  Otherwise the left branch is swept through m + 1
+    and the right one from m - 1, about one grid sweep in all.
     """
-    w = setup.wronskians.get(E)
-    if w is None:
-        m = setup.match
-        T = _numerov_t(setup.model, E, setup.grid, setup.V)
+    if E not in setup.wronskians:
         if setup.model.symmetric:
-            w = _mirrored_wronskian(setup, E, _sweep_left(setup, E, T, max(m, T.size - 1 - m) + 2))
+            _mirrored_sweep(setup, E)
         else:
+            m = setup.match
+            T = _numerov_t(setup.model, E, setup.grid, setup.V)
             # the right sweep from m - 1 holds xs[m - 1:] in order
-            w = _pruefer_wronskian(setup, E, _sweep_left(setup, E, T, m + 2)[m - 1:],
-                                   _sweep_right(setup, E, T, m - 1))
-        setup.wronskians[E] = w
-    return w
+            setup.wronskians[E] = _pruefer_wronskian(
+                setup, E, _sweep_left(setup, E, T, m + 2)[m - 1:], _sweep_right(setup, E, T, m - 1))
+    return setup.wronskians[E]
 
 
 _EPS = float(np.finfo(float).eps)
@@ -469,13 +522,14 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
     bracket until it holds level k alone: k nodes at its lower end, k + 1 at
     its upper end, lower end > 0.  These probes sweep from the left end only
     and are memoised per (model, grid), so the levels of one spectrum share
-    them.  Brent's method then finds the root of the Pruefer-normalised
-    matching Wronskian in the bracket, and returns it.  Wronskians are
-    memoised too, and on a mirror-symmetric model a node probe also yields
-    the Wronskian at its energy, so the bracket ends cost no sweep and each
-    other evaluation sweeps about half the grid.  Where that
-    Wronskian has no clean sign change on the bracket, the staircase
-    bisection goes on to the width and the bracket midpoint is returned.
+    them.  Brent's method then finds the root of the folded Pruefer angle
+    between the matching branches (``_wronskian``) in the bracket, and
+    returns it.  Wronskians are memoised too.  On a mirror-symmetric model a
+    node probe and a Wronskian are the same sweep through about half the
+    grid, which fills both memos, so the bracket ends cost no sweep; the
+    half line's node probes sweep the whole grid.  Where that Wronskian has
+    no clean sign change on the bracket, the staircase bisection goes on to
+    the width and the bracket midpoint is returned.
     """
     if k < 0:
         raise ValueError("k must be >= 0")

@@ -11,9 +11,10 @@ from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsu
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
 from boxaffine.shooting import (SERIES_FRAC, BracketFailure, FitFailure, ShootingGrid, _brent,
-                                _launch, _numerov, _numerov_t, _onesided_nodes, _setup, _start,
-                                _sweep_left, _sweep_right, _wronskian, boundary_exponent_probe,
-                                default_grid, eigenvalue_search, numerov_integrate, wavefunction)
+                                _launch, _nodes, _numerov, _numerov_t, _onesided_nodes, _probe,
+                                _setup, _start, _sweep_left, _sweep_right, _wronskian,
+                                boundary_exponent_probe, default_grid, eigenvalue_search,
+                                numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -162,10 +163,11 @@ class TestEigenvalueSearch:
 
     def test_sweeps_per_level(self, monkeypatch):
         # a count, not a timing: isolating brackets, shared staircase probes,
-        # Brent and memoised mirrored Wronskians keep 12 levels to <= 8 kernel
-        # calls and <= 4.5 grid lengths each (the all-bisection search took ~39
-        # full-grid sweeps per level, the two-sided Wronskian 17.5 calls and
-        # 9.0 grid lengths)
+        # Brent on the folded Pruefer angle, memoised mirrored Wronskians and
+        # half-grid node probes keep 12 levels to <= 7 kernel calls and <= 3.5
+        # grid lengths each (the all-bisection search took ~39 full-grid sweeps
+        # per level, the two-sided Wronskian 17.5 calls and 9.0 grid lengths,
+        # full-grid node probes and Brent on the sine 7.3 calls and 4.3 lengths)
         calls = []
 
         def counted(T, psi, i0):
@@ -177,8 +179,8 @@ class TestEigenvalueSearch:
         _setup.cache_clear()
         for k in range(12):
             eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
-        assert len(calls) <= 8 * 12
-        assert sum(calls) <= 4.5 * grid.size * 12
+        assert len(calls) <= 7 * 12
+        assert sum(calls) <= 3.5 * grid.size * 12
 
     def test_two_sided_root_matches_ritz(self):
         # the Wronskian root is the two-sided eigenvalue of the grid; the
@@ -230,7 +232,11 @@ def _two_sided_wronskian(setup, E):
     amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
     if amp_l == 0.0 or amp_r == 0.0:
         return math.nan
-    return ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
+    # the angle between the two unit Pruefer vectors (psi, psi'/k), folded
+    # into [-pi/2, pi/2]
+    sine = (dl * r0 - dr * l0) / (k * amp_l * amp_r)
+    cosine = (l0 * r0 + dl * dr / (k * k)) / (amp_l * amp_r)
+    return math.atan2(sine, abs(cosine))
 
 
 class TestMirroredWronskian:
@@ -244,7 +250,7 @@ class TestMirroredWronskian:
         _setup.cache_clear()
         setup = _setup(model, default_grid(model, size))
         for E in np.geomspace(0.5, 400.0, 60) * model.energy_scale:
-            # both values are the sine of the branches' Pruefer phase angle
+            # both values are the folded angle between the branches' Pruefer phases
             assert abs(_wronskian(setup, E) - _two_sided_wronskian(setup, E)) <= 1e-9
 
     @pytest.mark.parametrize("size", [4000, 4001])
@@ -273,6 +279,49 @@ class TestMirroredWronskian:
         for k in range(12):
             eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
         assert len(energies) == len(set(energies))
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_energies(model):
+    # below level 0, and midway between consecutive levels 0..12
+    levels = compute_spectrum(model, 64, n_diagnostics=13).eigenvalues[:13]
+    return [0.5 * levels[0], *(0.5 * (levels[:-1] + levels[1:]))]
+
+
+class TestMirroredNodes:
+    # a box node probe sweeps through max(m, m*) + 1 only and takes the count
+    # over the whole grid from the even and odd half problems
+    @pytest.mark.parametrize("size", [1000, 1001, 4000, 4001, 20001])
+    @pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (1e-3, 1.0), (3.7, 20.0)])
+    @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
+    def test_half_sweep_count_matches_full_sweep(self, cls, b, hbar, size):
+        model = cls(BoxGeometry(b, hbar))
+        _setup.cache_clear()
+        setup = _setup(model, default_grid(model, size))
+        for E in _probe_energies(model):
+            T = _numerov_t(model, E, setup.grid, setup.V)
+            assert _nodes(setup, E) == _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+
+    @pytest.mark.parametrize("size", [4000, 4001])
+    def test_box_probes_sweep_half_the_grid(self, size, monkeypatch):
+        lengths = []
+
+        def counted(T, psi, i0):
+            lengths.append(T.shape[0])
+            return _numerov(T, psi, i0)
+
+        monkeypatch.setattr(shooting, "_numerov", counted)
+        for model in (AQ, CQ, HalfHarmonic(1.0)):
+            _setup.cache_clear()
+            setup = _setup(model, default_grid(model, size))
+            lengths.clear()
+            for E in np.geomspace(0.5, 400.0, 12) * model.energy_scale:
+                _nodes(setup, E)
+            if model.symmetric:
+                m = setup.match
+                assert max(lengths) <= max(m, size - 1 - m) + 2
+            else:  # the half line's node count needs the whole grid
+                assert lengths == [size] * 12
 
 
 @functools.lru_cache(maxsize=None)
@@ -546,11 +595,50 @@ def test_kernel_matches_reference_loop_through_rescales():
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_kernel_workspace_is_bit_identical(monkeypatch):
+    # the kernel keeps one band for all sweeps; alternating a 40001-point
+    # sweep, a 1001-point half sweep and the exponent probe's window must give
+    # each the bits it gets from a freshly built band
+    sweeps = []
+    for model, size, half in ((AQ, 40001, False), (CQ, 1999, True)):
+        grid = default_grid(model, size)
+        setup = _setup(model, grid)
+        m = setup.match
+        stop = max(m, size - 1 - m) + 2 if half else size
+        E = 0.5 * sum(_levels(model, 5)[3:5])
+        sweeps.append((_numerov_t(model, E, grid, setup.V)[:stop], _start(setup, setup.left, E)))
+    grid = default_grid(AQ, 40001)
+    probe = _probe(AQ, grid)
+    sweeps.append((_numerov_t(AQ, 4.6, grid, probe.V), probe.start))
+    assert [T.size for T, _ in sweeps[:2]] == [40001, 1001]
+
+    def preset(T, start):
+        psi = np.zeros(T.size)
+        psi[:start.size] = start
+        return psi
+
+    fresh = []
+    for T, start in sweeps:
+        monkeypatch.setattr(shooting, "_band", np.zeros((4, 0), order="F"))
+        fresh.append(_numerov(T, preset(T, start), start.size - 1))
+        ref = _numerov_reference(T, preset(T, start), start.size - 1)
+        assert np.max(np.abs(fresh[-1] - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for j in (0, 1, 2, 1, 0, 2, 2, 1, 1, 0):
+        T, start = sweeps[j]
+        assert np.array_equal(_numerov(T, preset(T, start), start.size - 1), fresh[j])
+
+
 def test_kernel_rejects_unit_step_coefficient():
-    # 1 - T_{i+1} is the pivot of each step; an exact zero cannot be divided by
-    T = np.zeros(1200)
-    T[700] = 1.0
-    psi = np.zeros(1200)
-    psi[1] = 1e-3
-    with pytest.raises(ZeroDivisionError, match="step 699"):
-        _numerov(T, psi, 1)
+    # 1 - T_{i+1} is the pivot of each step; an exact zero cannot be divided by,
+    # also after a longer sweep has filled the kernel's band
+    for warm in (0, 40000):
+        if warm:
+            psi = np.zeros(warm)
+            psi[1] = 1e-3
+            _numerov(np.full(warm, 1e-6), psi, 1)
+        T = np.zeros(1200)
+        T[700] = 1.0
+        psi = np.zeros(1200)
+        psi[1] = 1e-3
+        with pytest.raises(ZeroDivisionError, match="step 699"):
+            _numerov(T, psi, 1)
