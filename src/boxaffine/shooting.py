@@ -4,12 +4,14 @@ Integrates psi'' = (V - E) psi / kappa inward from the ends of the model's
 declared interval, launched as each end's wall asks, and matches at the
 centre of a mirror-symmetric model or else at the potential minimum.  On a
 mirror-symmetric model the branch from the right end is the left one
-mirrored, so one left sweep through the centre gives both, and with them
-the node count over the whole grid.  Eigenvalues are located by node-count
-bracketing plus a Brent root of the folded angle between the two branches'
-Pruefer phases at the match point -- the pole-free form of the
-log-derivative mismatch.  Fully independent of the variational solver, which
-it cross-checks.
+mirrored, so one left sweep through the centre gives both.  The two
+branches' Pruefer angles at the match point, each counted from its own
+wall, sum to a continuous counting phase Theta(E) whose floor is the number
+of levels below E, and level k is the root of Theta = k + 1 (the Pruefer
+counting of SLEIGN2 and of Pryce 1993, ch. 5).  The sweep that gives Theta
+also gives dTheta/dE by the Wronskian identity, so each level is found by a
+safeguarded Newton iteration.  Fully independent of the variational solver,
+which it cross-checks.
 
 A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
 sweep plants the regular Frobenius solution s^{3/2} sum a_n u^n, with s the
@@ -88,8 +90,7 @@ SERIES_FRAC = 0.05  # wall series region, in units of the length scale
 # Frobenius terms a sweep sums; up to the search ceiling the terms fall below
 # rounding within 38 (half-ho at 1e4 hbar)
 _SERIES_TERMS = 64
-# where E enters the recurrence (row n, column n - 2), and its right-hand side
-_W2_ENTRIES = (np.arange(2, _SERIES_TERMS), np.arange(_SERIES_TERMS - 2))
+# the right-hand side of the recurrence
 _A0 = np.zeros(_SERIES_TERMS)
 _A0[0] = 1.0
 
@@ -179,13 +180,14 @@ def _numerov(T, psi, i0):
 def count_nodes(psi):
     """Sign changes in sampled values, zeros skipped.
 
-    The one sign-change diagnostic both solvers share: shooting brackets
-    levels with it and counts the nodes of its final shot, Ritz counts those
-    of its sampled eigenfunctions.  The eigenvalues stay each solver's own.
+    The one sign-change diagnostic both solvers share: shooting counts the
+    nodes of each branch for its counting phase and those of its final shot,
+    Ritz those of its sampled eigenfunctions.  The eigenvalues stay each
+    solver's own.
     """
     signs = np.sign(psi)
     signs = signs[signs != 0]
-    return int(np.count_nonzero(np.diff(signs) != 0))
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
 
 
 def _launch(wall, s_values):
@@ -215,14 +217,17 @@ class _End:
 
     ``base`` holds the start values at a Dirichlet end.  At an inverse-square
     wall it holds s^{3/2} on the planted points, ``powers`` the powers u^n of
-    their u = s / length_scale, and ``recurrence`` the Frobenius recurrence
-    at E = 0; both are None at a Dirichlet end.  The recurrence starts at the
-    last start value.
+    their u = s / length_scale, ``recurrence`` the Frobenius recurrence,
+    which each sweep writes its energy into (``_start``), ``w2`` a view of
+    the entries it writes and ``w2_at_zero`` their values at E = 0; all are
+    None at a Dirichlet end.  The recurrence starts at the last start value.
     """
 
     base: np.ndarray
     powers: Optional[np.ndarray] = None
     recurrence: Optional[np.ndarray] = None
+    w2: Optional[np.ndarray] = None
+    w2_at_zero: Optional[np.ndarray] = None
 
 
 def _end(model, wall, s_values):
@@ -231,7 +236,11 @@ def _end(model, wall, s_values):
     if wall == INVERSE_SQUARE:
         s = s_values[:np.count_nonzero(s_values < SERIES_FRAC * model.length_scale)]
         powers = (s / model.length_scale)[:, None] ** np.arange(_SERIES_TERMS)
-        return _End(np.power(s, 1.5), powers, _recurrence(model.wall_series))
+        system = _recurrence(model.wall_series)
+        # where E enters, entries (n, n - 2) for n >= 2: a strided view of
+        # the Fortran-ordered system
+        w2 = system.ravel(order="F")[2::_SERIES_TERMS + 1][:_SERIES_TERMS - 2]
+        return _End(np.power(s, 1.5), powers, system, w2, w2.copy())
     return _End(_launch(wall, s_values))
 
 
@@ -256,9 +265,9 @@ def _recurrence(wall_series):
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """What every shot on one (model, grid) shares.  ``nodes`` memoises the
-    one-sided node count and ``wronskians`` the matching Wronskian by trial
-    energy, each a pure function of (model, grid, E)."""
+    """What every shot on one (model, grid) shares.  ``phases`` memoises the
+    counting phase and its energy derivative (``_phase``) by trial energy, a
+    pure function of (model, grid, E)."""
 
     model: object
     grid: ShootingGrid
@@ -267,8 +276,7 @@ class _Setup:
     match: int
     left: _End
     right: _End
-    nodes: dict
-    wronskians: dict
+    phases: dict
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,7 +293,7 @@ def _setup(model, grid):
     m = min(max(m, 3), n - 4)
     left = _end(model, model.walls[0], xs - xs[0] + grid.eps)
     right = _end(model, model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
-    return _Setup(model, grid, xs, V, m, left, right, {}, {})
+    return _Setup(model, grid, xs, V, m, left, right, {})
 
 
 def _start(setup, end, E):
@@ -294,10 +302,9 @@ def _start(setup, end, E):
     by forward substitution (LAPACK dtrtrs)."""
     if end.powers is None:
         return end.base
-    system = end.recurrence.copy(order="F")
-    # those entries hold -w_2, and w_2 carries -E L^2 / kappa
-    system[_W2_ENTRIES] += E * setup.model.length_scale**2 / setup.model.kappa
-    coefficients, _ = dtrtrs(system, _A0, lower=1)
+    # only the entries holding -w_2 depend on E, and w_2 carries -E L^2 / kappa
+    np.add(end.w2_at_zero, E * setup.model.length_scale**2 / setup.model.kappa, out=end.w2)
+    coefficients, _ = dtrtrs(end.recurrence, _A0, lower=1)
     return end.base * (end.powers @ coefficients)
 
 
@@ -319,164 +326,89 @@ def _sweep_right(setup, E, T, stop):
     return psi[::-1]
 
 
-def _onesided_nodes(psi_l, T):
-    """Node count of the left sweep alone; it jumps at each eigenvalue."""
-    # drop trailing points where h^2 g / 12 > 1 (right at a singular wall):
-    # the recurrence value there has an arbitrary sign and would fake a node
-    # at every energy
-    n = T.size
-    tail = 0
-    while tail < 3 and T[n - 1 - tail] > 1.0:
-        tail += 1
-    return count_nodes(psi_l[: n - tail])
+def _turns(psi, T, i, hk):
+    """Pruefer angle over pi at index i of a branch swept from its own wall:
+    its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
+    (sum_{j<i} psi_j^2 + psi_i^2 / 2) / A^2, A^2 = psi_i^2 + (psi_i'/k)^2,
+    which sets the angle's rate in E.  psi' is the difference
+    ((1 - 2 T_{i+1}) psi_{i+1} - (1 - 2 T_{i-1}) psi_{i-1}) / 2h, fourth order
+    on a Numerov solution, so that this rate is the derivative of the angle
+    to O(h^4) and not O(h^2).  Any difference of psi_{i-1}, psi_i, psi_{i+1}
+    gives the same roots of Theta: the Numerov Wronskian of two branches is
+    constant across i."""
+    value = float(psi[i])
+    slope = float((1.0 - 2.0 * T[i + 1]) * psi[i + 1] - (1.0 - 2.0 * T[i - 1]) * psi[i - 1]) / (2.0 * hk)
+    head = psi[:i]
+    weight = (float(head @ head) + 0.5 * value * value) / (value * value + slope * slope)
+    # the angle mod pi, taken in [0, pi] from the sign of psi_i that the count
+    # sees, so that a count and an angle rounded to a multiple of pi agree
+    phi = math.atan2(abs(value), slope if value > 0.0 else -slope) if value else math.pi
+    return count_nodes(psi[:i + 1]) + phi / math.pi, weight
 
 
-def _mirrored_nodes(psi_l, n):
-    """Node count of the left sweep over the whole n-point grid of a mirror-
-    symmetric model, from its values through the centre alone.
+def _phase(setup, E):
+    """Counting phase Theta(E) and dTheta/dE, memoised per (model, grid).
 
-    The grid problem splits into an even and an odd half problem, and the
-    discrete Sturm count of each follows from the left half (Bailey, Everitt
-    and Zettl 2001).  On an odd grid with centre c = (n - 1) / 2 the count is
-    2 nodes(u[:c+1]) + [u_c (u_{c+1} - u_{c-1}) < 0]; on an even one, with
-    central points p = n/2 - 1 and q = p + 1, it is
-    2 nodes(u[:p+1]) + [u_p (u_p + u_q) < 0] + [u_p (u_q - u_p) < 0].
-    The mirrored matching Wronskian is proportional to u_c (u_{c+1} - u_{c-1})
-    on an odd grid and to u_q^2 - u_p^2 on an even one, so the count steps
-    exactly at its zeros.
+    Theta = n_L + n_R + (phi_L + phi_R) / pi is the sum of the two branches'
+    Pruefer angles at the match point m, each counted from its own wall
+    (``_turns``), with k = sqrt(max(|E - V_m|, energy_scale) / kappa): the
+    right branch's angle is atan2(psi, -psi'/k).  It is continuous and
+    increasing in E, floor(Theta) is the number of levels below E, and level
+    k is the root of Theta = k + 1, where the two Pruefer vectors are
+    parallel whatever k.  By the Wronskian identity
+    kappa (psi_E psi' - psi psi_E')(m) = int_wall^m psi^2, each angle moves at
+    int psi^2 / (kappa k A^2); the term from dk/dE is left out, as it cancels
+    between the branches at every root.  On a mirror-symmetric model one left
+    sweep through max(m, m*) + 1, about half the grid, gives both branches:
+    the right one is the left one reflected, so its angle is the left
+    branch's at m* = n - 1 - m (m* = m, the centre, on an odd grid).  The
+    half line sweeps the left branch through m + 1 and the right one from
+    m - 1, about one grid sweep in all.
     """
-    p = (n - 1) // 2
-    count = 2 * count_nodes(psi_l[:p + 1])
-    u, q = psi_l[p], psi_l[p + 1]
-    if n % 2:
-        return count + int(u * (q - psi_l[p - 1]) < 0)
-    return count + int(u * (u + q) < 0) + int(u * (q - u) < 0)
-
-
-def _mirrored_sweep(setup, E):
-    """One left sweep of a mirror-symmetric model at E through max(m, m*) + 1,
-    about half the grid, which holds both the node count over the whole grid
-    and the matching Wronskian; both are memoised."""
-    n, m = setup.xs.size, setup.match
-    stop = max(m, n - 1 - m) + 2
-    T = _numerov_t(setup.model, E, setup.grid, setup.V[:stop])
-    psi_l = _sweep_left(setup, E, T, stop)
-    setup.nodes[E] = _mirrored_nodes(psi_l, n)
-    setup.wronskians[E] = _mirrored_wronskian(setup, E, psi_l)
-
-
-def _nodes(setup, E):
-    """One-sided node count at E over the whole grid, memoised.  A mirror-
-    symmetric model sweeps half the grid (``_mirrored_sweep``), the half line
-    the whole of it."""
-    if E not in setup.nodes:
-        if setup.model.symmetric:
-            _mirrored_sweep(setup, E)
+    if E not in setup.phases:
+        model, m = setup.model, setup.match
+        ms = setup.xs.size - 1 - m
+        h = setup.grid.spacing
+        k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
+        if model.symmetric:
+            T = _numerov_t(model, E, setup.grid, setup.V[:max(m, ms) + 2])
+            psi = _sweep_left(setup, E, T, T.size)
+            left = _turns(psi, T, m, h * k)
+            right = left if ms == m else _turns(psi, T, ms, h * k)
         else:
-            T = _numerov_t(setup.model, E, setup.grid, setup.V)
-            setup.nodes[E] = _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
-    return setup.nodes[E]
+            T = _numerov_t(model, E, setup.grid, setup.V)
+            left = _turns(_sweep_left(setup, E, T, m + 2), T, m, h * k)
+            # the right branch from its own wall, where xs[m] is index ms
+            right = _turns(_sweep_right(setup, E, T, m - 1)[::-1], T[::-1], ms, h * k)
+        setup.phases[E] = (left[0] + right[0], h * (left[1] + right[1]) / (math.pi * model.kappa * k))
+    return setup.phases[E]
 
 
-def _pruefer_wronskian(setup, E, left, right):
-    # from each branch's values at m - 1, m, m + 1, each branch scaled to unit
-    # Pruefer amplitude at the match point, so a sweep's overall scale drops out;
-    # the angle between the two Pruefer vectors, folded into [-pi/2, pi/2] so
-    # that it also vanishes, without a jump, where the branches are antiparallel
-    two_h = 2.0 * setup.grid.spacing
-    l0, dl = float(left[1]), float(left[2] - left[0]) / two_h
-    r0, dr = float(right[1]), float(right[2] - right[0]) / two_h
-    k = math.sqrt(abs(E - float(setup.V[setup.match])) / setup.model.kappa) or 1.0
-    amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
-    if amp_l == 0.0 or amp_r == 0.0:
-        return math.nan
-    sine = ((dl / amp_l) * (r0 / amp_r) - (dr / amp_r) * (l0 / amp_l)) / k
-    cosine = (l0 / amp_l) * (r0 / amp_r) + (dl / amp_l) * (dr / amp_r) / (k * k)
-    return math.atan2(sine, abs(cosine))
+def _newton(f, target, lo, hi, f_lo, f_hi, width):
+    """Root of f(E) = target in [lo, hi], where f_lo < target <= f_hi and f
+    is increasing and returns (value, derivative).
 
-
-def _mirrored_wronskian(setup, E, psi_l):
-    """Matching Wronskian of a mirror-symmetric model from its left branch
-    alone, swept at least through max(m, m*) + 1.  The right branch is the
-    left one reflected, r(x_j) = l(x_{n-1-j}), so its values at m - 1, m, m + 1
-    are the left branch's at m* + 1, m*, m* - 1, with m* = n - 1 - m.  On an
-    odd grid m* = m, the centre; on an even one m* is the other central point.
+    Newton steps in sqrt(E) start from the linear interpolant in sqrt(E)
+    between the ends.  Each value narrows the bracket, and a step that would
+    leave it bisects it instead.  The search stops once a Newton step is at
+    most width / 2 and returns where that step lands, or once the bracket is
+    at most width wide and returns its midpoint.
     """
-    m = setup.match
-    ms = setup.xs.size - 1 - m
-    return _pruefer_wronskian(setup, E, psi_l[m - 1:m + 2], psi_l[ms + 1:ms - 2:-1])
-
-
-def _wronskian(setup, E):
-    """Matching Wronskian at E, each branch scaled to unit Pruefer amplitude
-    sqrt(psi^2 + (psi'/k)^2) at the match point, k = sqrt(|E - V_m| / kappa);
-    memoised per (model, grid).
-
-    It is the angle between the two branches' Pruefer vectors (psi, psi'/k),
-    folded into [-pi/2, pi/2]: bounded, smooth in E, zero exactly at an
-    eigenvalue wherever the level's nodes sit, and with the sign of the
-    sine.  Near a root it is linear in the phase, so Brent's steps from a
-    wide bracket land closer than on the sine.  On a mirror-symmetric model
-    one left sweep through max(m, m*) + 1, about half the grid, gives both
-    branches (``_mirrored_wronskian``) and the node count at E
-    (``_mirrored_sweep``).  Otherwise the left branch is swept through m + 1
-    and the right one from m - 1, about one grid sweep in all.
-    """
-    if E not in setup.wronskians:
-        if setup.model.symmetric:
-            _mirrored_sweep(setup, E)
-        else:
-            m = setup.match
-            T = _numerov_t(setup.model, E, setup.grid, setup.V)
-            # the right sweep from m - 1 holds xs[m - 1:] in order
-            setup.wronskians[E] = _pruefer_wronskian(
-                setup, E, _sweep_left(setup, E, T, m + 2)[m - 1:], _sweep_right(setup, E, T, m - 1))
-    return setup.wronskians[E]
-
-
-_EPS = float(np.finfo(float).eps)
-
-
-def _brent(f, a, b, fa, fb, xtol):
-    """Root of f between a and b, where fa and fb differ in sign, to xtol.
-
-    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps
-    while they shrink the bracket fast enough, bisection otherwise.  The
-    root always stays between b (the best estimate) and c.
-    """
-    c, fc = a, fa
-    d = e = b - a
+    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+    E = (s_lo + (target - f_lo) / (f_hi - f_lo) * (s_hi - s_lo)) ** 2
     while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
-        half = 0.5 * (c - b)
-        if abs(half) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:  # inverse quadratic through a, b, c
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * half * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = half
+        value, slope = f(E)
+        if value < target:
+            lo = E
         else:
-            d = e = half
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, half)
-        fb = f(b)
+            hi = E
+        if hi - lo <= width:
+            return 0.5 * (lo + hi)
+        s = math.sqrt(E)
+        new = (s - (value - target) / (2.0 * s * slope)) ** 2 if 0.0 < slope < math.inf else math.nan
+        if lo <= new <= hi and abs(new - E) <= 0.5 * width:
+            return new
+        E = new if lo < new < hi else 0.5 * (lo + hi)
 
 
 def _shoot(model, E, grid):
@@ -518,18 +450,18 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
 
     ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
     and hbar for the half-line oscillator, so every scale is resolved alike.
-    A doubling scan and bisection of the one-sided node staircase narrow the
-    bracket until it holds level k alone: k nodes at its lower end, k + 1 at
-    its upper end, lower end > 0.  These probes sweep from the left end only
-    and are memoised per (model, grid), so the levels of one spectrum share
-    them.  Brent's method then finds the root of the folded Pruefer angle
-    between the matching branches (``_wronskian``) in the bracket, and
-    returns it.  Wronskians are memoised too.  On a mirror-symmetric model a
-    node probe and a Wronskian are the same sweep through about half the
-    grid, which fills both memos, so the bracket ends cost no sweep; the
-    half line's node probes sweep the whole grid.  Where that Wronskian has
-    no clean sign change on the bracket, the staircase bisection goes on to
-    the width and the bracket midpoint is returned.
+    Level k is the root of Theta(E) = k + 1, with Theta the continuous
+    counting phase of ``_phase``.  A doubling scan from the energy scale
+    finds the first point where Theta >= k + 1; its probes are memoised per
+    (model, grid), so the levels of one spectrum share them.  Newton steps
+    in sqrt(E) on Theta then start from the linear interpolant between that
+    point and the one before it (``_newton``), bisecting whenever a step
+    would leave the bracket that this level's own values of Theta narrow.
+    The search stops once a Newton step is at most half the width and
+    returns where that step lands: the step is the distance to the root up
+    to a second-order term, so the result lies within the width of it,
+    though no bracket of that width is checked.  It also stops once the
+    bracket is at most the width and returns its midpoint.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -539,42 +471,20 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
         grid = default_grid(model)
     setup = _setup(model, grid)
     scale = model.energy_scale
-    width = tol * scale
     e_max = E_MAX_FACTOR * scale
+    target = k + 1
 
     lo, hi = 0.0, scale
-    n_lo, n_hi = -1, _nodes(setup, hi)  # lo = 0 lies below every level
-    while n_hi <= k:
-        lo, n_lo = hi, n_hi
+    theta_lo, theta_hi = 0.0, _phase(setup, hi)[0]  # Theta >= 0, and lo = 0 lies below every level
+    while theta_hi < target:
+        lo, theta_lo = hi, theta_hi
         hi = 2.0 * hi
         if hi > e_max:
             raise BracketFailure(
                 f"level {k}: node transition not found below {e_max:.3g} "
                 f"(upper side reached the ceiling)")
-        n_hi = _nodes(setup, hi)
-
-    floor = 1e-13 * max(hi, scale)  # the staircase stops resolving here
-
-    def bisect(done):
-        nonlocal lo, hi, n_lo, n_hi
-        while hi - lo > floor and not done():
-            mid = 0.5 * (lo + hi)
-            n_mid = _nodes(setup, mid)
-            if n_mid > k:
-                hi, n_hi = mid, n_mid
-            else:
-                lo, n_lo = mid, n_mid
-
-    def isolated():
-        return n_lo == k and n_hi == k + 1 and lo > 0
-
-    bisect(isolated)
-    if isolated():
-        w_lo, w_hi = _wronskian(setup, lo), _wronskian(setup, hi)
-        if math.isfinite(w_lo) and math.isfinite(w_hi) and np.sign(w_lo) != np.sign(w_hi):
-            return _brent(functools.partial(_wronskian, setup), lo, hi, w_lo, w_hi, width)
-    bisect(lambda: hi - lo <= width)
-    return 0.5 * (lo + hi)
+        theta_hi = _phase(setup, hi)[0]
+    return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi, tol * scale)
 
 
 def wavefunction(model, E, grid=None):

@@ -4,38 +4,42 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 
 from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsupported,
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue)
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
-from boxaffine.shooting import (SERIES_FRAC, BracketFailure, FitFailure, ShootingGrid, _brent,
-                                _launch, _nodes, _numerov, _numerov_t, _onesided_nodes, _probe,
-                                _setup, _start, _sweep_left, _sweep_right, _wronskian,
-                                boundary_exponent_probe, default_grid, eigenvalue_search,
-                                numerov_integrate, wavefunction)
+from boxaffine.shooting import (_A0, E_MAX_FACTOR, SERIES_FRAC, BracketFailure, FitFailure,
+                                ShootingGrid, _launch, _newton, _numerov, _numerov_t, _phase, _probe,
+                                _setup, _start, _sweep_left, _sweep_right, _turns,
+                                boundary_exponent_probe, count_nodes, default_grid,
+                                eigenvalue_search, numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
 AQ = AqBox(GEOM)
+HO = HalfHarmonic(1.0)
+MODELS = pytest.mark.parametrize("model", [CQ, AQ, HO], ids=["cq-box", "aq-box", "half-ho"])
+SIZES = pytest.mark.parametrize("size", [1000, 1001, 4000, 4001, 20001])
 
 
 class TestNumerovIntegrate:
     def test_flat_box_at_eigenvalue(self):
         grid = default_grid(CQ, 10001)
         res = numerov_integrate(CQ, math.pi**2 / 4, grid)
-        assert abs(_wronskian(_setup(CQ, grid), math.pi**2 / 4)) < 1e-6
+        assert abs(_phase(_setup(CQ, grid), math.pi**2 / 4)[0] - 1.0) < 1e-6
         assert res.node_count == 0
 
     def test_flat_box_off_eigenvalue(self):
         grid = default_grid(CQ, 10001)
-        assert abs(_wronskian(_setup(CQ, grid), 2.0)) > 0.01
+        assert abs(_phase(_setup(CQ, grid), 2.0)[0] - 1.0) > 0.01
 
     def test_half_harmonic_at_ground(self):
         model = HalfHarmonic(1.0)
         res = numerov_integrate(model, 2.0)
-        assert abs(_wronskian(_setup(model, default_grid(model)), 2.0)) < 1e-6
+        assert abs(_phase(_setup(model, default_grid(model)), 2.0)[0] - 1.0) < 1e-6
         assert res.node_count == 0
 
     def test_anti_box_unsupported(self):
@@ -45,7 +49,7 @@ class TestNumerovIntegrate:
     def test_mismatch_finite(self):
         grid = default_grid(AQ, 2001)
         for e in (0.5, 3.0, 7.7, 30.0):
-            assert math.isfinite(_wronskian(_setup(AQ, grid), e))
+            assert all(map(math.isfinite, _phase(_setup(AQ, grid), e)))
             assert np.all(np.isfinite(numerov_integrate(AQ, e, grid).psi))
 
 
@@ -162,12 +166,10 @@ class TestEigenvalueSearch:
             assert warm == cold
 
     def test_sweeps_per_level(self, monkeypatch):
-        # a count, not a timing: isolating brackets, shared staircase probes,
-        # Brent on the folded Pruefer angle, memoised mirrored Wronskians and
-        # half-grid node probes keep 12 levels to <= 7 kernel calls and <= 3.5
-        # grid lengths each (the all-bisection search took ~39 full-grid sweeps
-        # per level, the two-sided Wronskian 17.5 calls and 9.0 grid lengths,
-        # full-grid node probes and Brent on the sine 7.3 calls and 4.3 lengths)
+        # a count, not a timing: 12 levels at the default grid and tol, with
+        # the shared doubling scan and Newton on the counting phase.  Measured
+        # kernel calls and grid lengths per level: aq-box 3.83 and 1.82,
+        # cq-box 1.92 and 0.96, half-ho 6.67 and 3.32 (two calls a phase)
         calls = []
 
         def counted(T, psi, i0):
@@ -175,25 +177,27 @@ class TestEigenvalueSearch:
             return _numerov(T, psi, i0)
 
         monkeypatch.setattr(shooting, "_numerov", counted)
-        grid = default_grid(AQ, 20001)
-        _setup.cache_clear()
-        for k in range(12):
-            eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
-        assert len(calls) <= 7 * 12
-        assert sum(calls) <= 3.5 * grid.size * 12
+        for model, most_calls, most_lengths in ((AQ, 4.25, 2.0), (CQ, 2.5, 1.2), (HO, 7.25, 3.6)):
+            grid = default_grid(model, 4001)
+            _setup.cache_clear()
+            calls.clear()
+            for k in range(12):
+                eigenvalue_search(model, k, tol=1e-8, grid=grid)
+            assert len(calls) <= most_calls * 12
+            assert sum(calls) <= most_lengths * grid.size * 12
 
     def test_two_sided_root_matches_ritz(self):
-        # the Wronskian root is the two-sided eigenvalue of the grid; the
-        # one-sided staircase alone sits 2e-8 to 2e-7 away from Ritz
+        # the root of Theta = k + 1 is the two-sided eigenvalue of the grid
         grid = default_grid(AQ, 20001)
         ref = compute_spectrum(AQ, 64, n_diagnostics=12).eigenvalues[:12]
         got = np.array([eigenvalue_search(AQ, k, tol=1e-8, grid=grid) for k in range(12)])
         assert np.max(np.abs(got - ref) / ref) < 5e-9
 
-    def test_staircase_fallback_without_sign_change(self, monkeypatch):
-        # no clean Wronskian sign change: the staircase bisection alone
-        # narrows the bracket to the width and returns its midpoint
-        monkeypatch.setattr(shooting, "_wronskian", lambda setup, E: 1.0)
+    def test_bisection_fallback_without_derivative(self, monkeypatch):
+        # no usable derivative: bisection alone narrows the bracket to the
+        # width and returns its midpoint
+        phase = shooting._phase
+        monkeypatch.setattr(shooting, "_phase", lambda setup, E: (phase(setup, E)[0], 0.0))
         _setup.cache_clear()
         grid = default_grid(CQ, 20001)
         for k in range(3):
@@ -217,29 +221,32 @@ class TestEigenvalueSearch:
         assert got == pytest.approx(_unit_levels(HalfHarmonic(1.0), 5), rel=1e-10)
 
 
-def _two_sided_wronskian(setup, E):
-    # the matching Wronskian from a left and a right sweep, as it was before
-    # mirror-symmetric models took the right branch from the left one; kept
-    # as the reference the mirrored form must reproduce
-    m = setup.match
-    T = _numerov_t(setup.model, E, setup.grid, setup.V)
+def _two_sided_phase(setup, E):
+    # the counting phase from a left and a right sweep, as the half line
+    # takes it, written out from its definition: n_L + n_R + (phi_L + phi_R)
+    # / pi with phi_L = atan2(psi_L, psi_L'/k) mod pi and phi_R =
+    # atan2(psi_R, -psi_R'/k) mod pi at the match point, and its rate from
+    # the Wronskian identity; the reference the mirrored form must reproduce
+    m, model = setup.match, setup.model
+    T = _numerov_t(model, E, setup.grid, setup.V)
     psi_l = _sweep_left(setup, E, T, m + 2)
     psi_r = _sweep_right(setup, E, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
-    two_h = 2.0 * setup.grid.spacing
-    k = math.sqrt(abs(E - float(setup.V[m])) / setup.model.kappa) or 1.0
-    l0, dl = float(psi_l[m]), float(psi_l[m + 1] - psi_l[m - 1]) / two_h
-    r0, dr = float(psi_r[1]), float(psi_r[2] - psi_r[0]) / two_h
-    amp_l, amp_r = math.hypot(l0, dl / k), math.hypot(r0, dr / k)
-    if amp_l == 0.0 or amp_r == 0.0:
-        return math.nan
-    # the angle between the two unit Pruefer vectors (psi, psi'/k), folded
-    # into [-pi/2, pi/2]
-    sine = (dl * r0 - dr * l0) / (k * amp_l * amp_r)
-    cosine = (l0 * r0 + dl * dr / (k * k)) / (amp_l * amp_r)
-    return math.atan2(sine, abs(cosine))
+    h = setup.grid.spacing
+    k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
+
+    def slope(psi, i):  # psi'(x_m), with the O(h^4) Numerov difference
+        return ((1 - 2 * T[m + 1]) * psi[i + 1] - (1 - 2 * T[m - 1]) * psi[i - 1]) / (2 * h)
+
+    theta = rate = 0.0
+    for value, dpsi, nodes, inner in ((psi_l[m], slope(psi_l, m), count_nodes(psi_l[:m + 1]), psi_l[:m]),
+                                      (psi_r[1], -slope(psi_r, 1), count_nodes(psi_r[1:]), psi_r[2:])):
+        theta += nodes + (math.atan2(value, dpsi / k) % math.pi) / math.pi
+        rate += (inner @ inner + 0.5 * value**2) / (value**2 + (dpsi / k) ** 2)
+    return theta, h * rate / (math.pi * model.kappa * k)
 
 
 class TestMirroredWronskian:
+    # the matching phase of one mirrored sweep against that of two sweeps;
     # odd grids match at the centre (m* = m), even ones at one of the two
     # central points (m* is the other)
     @pytest.mark.parametrize("size", [1000, 1001, 4000, 4001])
@@ -250,8 +257,10 @@ class TestMirroredWronskian:
         _setup.cache_clear()
         setup = _setup(model, default_grid(model, size))
         for E in np.geomspace(0.5, 400.0, 60) * model.energy_scale:
-            # both values are the folded angle between the branches' Pruefer phases
-            assert abs(_wronskian(setup, E) - _two_sided_wronskian(setup, E)) <= 1e-9
+            theta, rate = _phase(setup, E)
+            ref_theta, ref_rate = _two_sided_phase(setup, E)
+            assert abs(theta - ref_theta) <= 1e-9
+            assert abs(rate - ref_rate) <= 1e-9 * ref_rate
 
     @pytest.mark.parametrize("size", [4000, 4001])
     @pytest.mark.parametrize("model", [AQ, CqBox(BoxGeometry(0.3, 2.0))], ids=["aq-box", "cq-box"])
@@ -259,14 +268,14 @@ class TestMirroredWronskian:
         grid = default_grid(model, size)
         _setup.cache_clear()
         got = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
-        monkeypatch.setattr(shooting, "_wronskian", _two_sided_wronskian)
+        monkeypatch.setattr(shooting, "_phase", _two_sided_phase)
         _setup.cache_clear()
         ref = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_no_energy_swept_twice(self, monkeypatch):
-        # node probes hold the mirrored Wronskian at their energy, and every
-        # Wronskian is memoised, so a spectrum sweeps each energy once
+        # every phase is memoised with its derivative, and the levels share the
+        # scan's, so a spectrum sweeps each energy once
         energies = []
 
         def counted(setup, E, T, stop):
@@ -284,13 +293,49 @@ class TestMirroredWronskian:
 @functools.lru_cache(maxsize=None)
 def _probe_energies(model):
     # below level 0, and midway between consecutive levels 0..12
-    levels = compute_spectrum(model, 64, n_diagnostics=13).eigenvalues[:13]
+    if model.symmetric:
+        levels = compute_spectrum(model, 64, n_diagnostics=13).eigenvalues[:13]
+    else:
+        levels = np.array([half_ho_eigenvalue(k, model.hbar) for k in range(13)])
     return [0.5 * levels[0], *(0.5 * (levels[:-1] + levels[1:]))]
 
 
+def _onesided_nodes(psi_l, T):
+    # node count of a left sweep over the whole grid, which steps at each
+    # eigenvalue; the points right at a singular wall where h^2 g / 12 > 1
+    # are dropped, as the recurrence value there has an arbitrary sign
+    n = T.size
+    tail = 0
+    while tail < 3 and T[n - 1 - tail] > 1.0:
+        tail += 1
+    return count_nodes(psi_l[: n - tail])
+
+
+def _full_sweep_nodes(setup, E):
+    T = _numerov_t(setup.model, E, setup.grid, setup.V)
+    return _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+
+
+def _mirrored_nodes(setup, E):
+    # the node count over the whole grid of a mirror-symmetric model from a
+    # left sweep through the centre: the discrete Sturm counts of the even and
+    # odd half problems.  On an odd grid with centre c it is
+    # 2 nodes(u[:c+1]) + [u_c (u_{c+1} - u_{c-1}) < 0]; on an even one, with
+    # central points p and q = p + 1, 2 nodes(u[:p+1]) + [u_p (u_p + u_q) < 0]
+    # + [u_p (u_q - u_p) < 0]
+    n = setup.xs.size
+    p = (n - 1) // 2
+    T = _numerov_t(setup.model, E, setup.grid, setup.V[:p + 3])
+    u = _sweep_left(setup, E, T, T.size)
+    count = 2 * count_nodes(u[:p + 1])
+    if n % 2:
+        return count + int(u[p] * (u[p + 1] - u[p - 1]) < 0)
+    return count + int(u[p] * (u[p] + u[p + 1]) < 0) + int(u[p] * (u[p + 1] - u[p]) < 0)
+
+
 class TestMirroredNodes:
-    # a box node probe sweeps through max(m, m*) + 1 only and takes the count
-    # over the whole grid from the even and odd half problems
+    # floor(Theta), from a box sweep through max(m, m*) + 1 only, is the node
+    # count of a left sweep over the whole grid
     @pytest.mark.parametrize("size", [1000, 1001, 4000, 4001, 20001])
     @pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (1e-3, 1.0), (3.7, 20.0)])
     @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
@@ -299,8 +344,7 @@ class TestMirroredNodes:
         _setup.cache_clear()
         setup = _setup(model, default_grid(model, size))
         for E in _probe_energies(model):
-            T = _numerov_t(model, E, setup.grid, setup.V)
-            assert _nodes(setup, E) == _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+            assert math.floor(_phase(setup, E)[0]) == _full_sweep_nodes(setup, E)
 
     @pytest.mark.parametrize("size", [4000, 4001])
     def test_box_probes_sweep_half_the_grid(self, size, monkeypatch):
@@ -311,17 +355,98 @@ class TestMirroredNodes:
             return _numerov(T, psi, i0)
 
         monkeypatch.setattr(shooting, "_numerov", counted)
-        for model in (AQ, CQ, HalfHarmonic(1.0)):
+        for model in (AQ, CQ, HO):
             _setup.cache_clear()
             setup = _setup(model, default_grid(model, size))
             lengths.clear()
             for E in np.geomspace(0.5, 400.0, 12) * model.energy_scale:
-                _nodes(setup, E)
+                _phase(setup, E)
+            m = setup.match
             if model.symmetric:
-                m = setup.match
                 assert max(lengths) <= max(m, size - 1 - m) + 2
-            else:  # the half line's node count needs the whole grid
-                assert lengths == [size] * 12
+            else:  # the half line sweeps through m + 1 from the left, to m - 1 from the right
+                assert lengths == [m + 2, size - m + 1] * 12
+
+
+class TestCountingPhase:
+    @SIZES
+    @MODELS
+    def test_floor_is_the_sturm_count(self, model, size):
+        # at the probe energies of every level and at 320 random energies up
+        # to 2000 energy units per case, 4800 in all.  The references are the
+        # full-sweep count on the half line and, on a box, the half-problem
+        # count: next to an inverse-square wall the full sweep drops the last
+        # point, and just above a level on a coarse grid the node that has
+        # entered from the wall lies there (aq-box at 1001 points, 1035.4 and
+        # 1247.6 energy units, where Theta reads 20.0007 and 22.0006)
+        _setup.cache_clear()
+        setup = _setup(model, default_grid(model, size))
+        reference = _mirrored_nodes if model.symmetric else _full_sweep_nodes
+        rng = np.random.default_rng(size)
+        for E in [*_probe_energies(model), *rng.uniform(0.0, 2000.0, 320) * model.energy_scale]:
+            assert math.floor(_phase(setup, E)[0]) == reference(setup, E)
+
+    @SIZES
+    @MODELS
+    def test_continuous_and_increasing(self, model, size):
+        # between neighbours on a fine scan through levels 0-11 Theta rises, and
+        # by far less than a turn; a count and an angle that disagree show as a
+        # jump of one
+        _setup.cache_clear()
+        setup = _setup(model, default_grid(model, size))
+        theta = np.array([_phase(setup, E)[0] for E in np.linspace(0.0, _probe_energies(model)[-1], 401)[1:]])
+        steps = np.diff(theta)
+        assert np.all(steps > 0.0) and np.max(steps) <= 0.5
+
+    def test_count_and_angle_agree_at_a_node(self):
+        # a node at the match point: whatever the sign and size of psi there,
+        # including zeros and values whose angle rounds to pi, the branch has
+        # made one turn.  psi' < 0 there, so psi_i > 0 has not yet crossed
+        for value in (1e-20, 1e-300, 0.0, -0.0, -1e-300, -1e-20):
+            psi = np.array([0.0, 1.0, 2.0, 1.0, value, -1.0])
+            assert _turns(psi, np.zeros(6), 4, 1.0)[0] == 1.0
+
+    @SIZES
+    @MODELS
+    def test_derivative_matches_central_difference(self, model, size):
+        _setup.cache_clear()
+        grid = default_grid(model, size)
+        setup = _setup(model, grid)
+        for k in range(12):
+            E = eigenvalue_search(model, k, tol=1e-10, grid=grid)
+            step = 1e-5 * E
+            central = (_phase(setup, E + step)[0] - _phase(setup, E - step)[0]) / (2.0 * step)
+            assert abs(_phase(setup, E)[1] / central - 1.0) <= 1e-5
+
+    @SIZES
+    @MODELS
+    def test_levels_lie_within_the_width_of_the_root(self, model, size):
+        # the reference root of Theta = k + 1 bisects floor(Theta) down to
+        # 1e-13 energy units
+        _setup.cache_clear()
+        grid = default_grid(model, size)
+        setup = _setup(model, grid)
+        scale = model.energy_scale
+        roots = []
+        for k in range(12):
+            lo, hi = (roots[-1] if roots else 0.0), 1000.0 * scale
+            while hi - lo > 1e-13 * scale:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if math.floor(_phase(setup, mid)[0]) > k else (mid, hi)
+            roots.append(hi)
+        for tol in (1e-8, 1e-10):
+            got = [eigenvalue_search(model, k, tol=tol, grid=grid) for k in range(12)]
+            assert np.max(np.abs(np.subtract(got, roots))) <= tol * scale
+
+    @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
+    def test_scale_invariant_at_the_energy_scale(self, cls):
+        # the first scan probe; on aq-box it sits at or next to V at the match
+        # point, where the Pruefer scale k takes its floor
+        values = []
+        for b, hbar in ((1.0, 1.0), (1e-3, 1.0), (0.119, 0.213), (1000.0, 1.0), (3.7, 20.0), (1e-20, 1e5)):
+            model = cls(BoxGeometry(b, hbar))
+            values.append(_phase(_setup(model, default_grid(model, 4001)), model.energy_scale)[0])
+        assert max(values) - min(values) <= 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,22 +454,25 @@ def _unit_levels(model, count):
     return [eigenvalue_search(model, k, tol=1e-10) for k in range(count)]
 
 
-class TestBrent:
+class TestNewton:
+    # the root finder of eigenvalue_search, on functions with known roots
     def test_root_of_cosine(self):
-        root = _brent(math.cos, 1.0, 2.0, math.cos(1.0), math.cos(2.0), 1e-14)
+        root = _newton(lambda x: (-math.cos(x), math.sin(x)), 0.0, 1.0, 2.0,
+                       -math.cos(1.0), -math.cos(2.0), 1e-14)
         assert root == pytest.approx(math.pi / 2, abs=1e-14)
 
     def test_root_at_bracket_end(self):
-        assert _brent(lambda x: x - 1.0, 1.0, 3.0, 0.0, 2.0, 1e-12) == 1.0
+        f = lambda x: (math.sqrt(x) - 3.0, 0.5 / math.sqrt(x))
+        assert _newton(f, 0.0, 1.0, 9.0, -2.0, 0.0, 1e-12) == 9.0
 
     def test_step_function_terminates_by_bisection(self):
         calls = []
 
         def step(x):
             calls.append(x)
-            return -1.0 if x < 0.3 else 1.0
+            return (-1.0 if x < 0.3 else 1.0), 0.0
 
-        root = _brent(step, 0.0, 1.0, -1.0, 1.0, 1e-10)
+        root = _newton(step, 0.0, 0.0, 1.0, -1.0, 1.0, 1e-10)
         assert abs(root - 0.3) <= 1e-10
         assert len(calls) < 200
 
@@ -464,6 +592,27 @@ class TestWallSeries:
             assert setup.right.powers is None and setup.right.base.size == 2
 
 
+    @pytest.mark.parametrize("model", [AQ, HalfHarmonic(0.37)], ids=["aq-box", "half-ho"])
+    def test_start_is_bit_identical_to_a_fresh_solve(self, model):
+        # each sweep writes its energy into its wall's one recurrence; system
+        # and start values must be the bits of a fresh copy of the E = 0
+        # system with the energy added, solved alike, as energies and ends
+        # alternate
+        setup = _setup(model, default_grid(model, 4001))
+        recurrence = shooting._recurrence(model.wall_series)
+        for E in np.random.default_rng(7).uniform(0.0, E_MAX_FACTOR, 50) * model.energy_scale:
+            for end in (setup.left, setup.right):
+                if end.powers is None:
+                    continue
+                system = recurrence.copy(order="F")
+                n = np.arange(2, recurrence.shape[0])  # -w_2 sits at (n, n - 2)
+                system[n, n - 2] += E * model.length_scale**2 / model.kappa
+                coefficients, _ = dtrtrs(system, _A0, lower=1)
+                start = _start(setup, end, E)
+                assert np.array_equal(end.recurrence, system)
+                assert np.array_equal(start, end.base * (end.powers @ coefficients))
+
+
 class TestWavefunction:
     def test_normalized_and_symmetric(self):
         e0 = eigenvalue_search(AQ, 0, tol=1e-9)
@@ -516,6 +665,19 @@ class TestGridValidation:
         assert g.x_max == 24.0
         with pytest.raises(ModelUnsupported):
             default_grid(AntiBox(GEOM), 2001)
+
+
+def test_count_nodes_matches_difference_count():
+    # neighbours compared as np.diff of the signs compared them: zeros (of
+    # either sign) skipped, NaN counted as a change on both sides
+    rng = np.random.default_rng(3)
+    values = np.array([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, np.nan])
+    for size in (0, 1, 2, 3, 40, 4001):
+        for _ in range(50):
+            psi = rng.choice(values, size)
+            signs = np.sign(psi)
+            signs = signs[signs != 0]
+            assert count_nodes(psi) == int(np.count_nonzero(np.diff(signs) != 0))
 
 
 def test_kernel_rescaling_keeps_values_finite():
