@@ -15,7 +15,7 @@ geom = BoxGeometry(b=1.0, hbar=1.0)
 model = CqBox(geom)
 
 print("Mode family bookkeeping (which trig candidates vanish at both walls):")
-accepted, rejected = classify_trig_modes(6, geom)
+accepted, rejected = classify_trig_modes(6)
 for a, r in zip(accepted, rejected):
     print(f"  n={a.n}: accepted {a.kind:<7}  rejected {r.kind}")
 print()

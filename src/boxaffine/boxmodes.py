@@ -61,7 +61,7 @@ def cq_eigenvalue(n, geom=BoxGeometry()):
     return geom.hbar**2 * n**2 * np.pi**2 / (4.0 * geom.b**2)
 
 
-def classify_trig_modes(M, geom=BoxGeometry()):
+def classify_trig_modes(M):
     """Split the 2M candidates {cos, sin}(n pi x / 2b), n = 1..M, by the
     Dirichlet condition at both walls.
 

@@ -141,7 +141,8 @@ _FLAGS = {
     "W": Flag(0.0, float, rules=(_at_least(0),), help="anti-box pull strength"),
     "levels": Flag(6, int, rules=(_within(1, MAX_LEVELS),)),
     "basis-size": Flag(32, int, rules=(_within(1, ritz.MAX_BASIS),)),
-    "grid-size": Flag(4001, int, rules=(_at_least(1000),), help="shooting grid points, >= 1000"),
+    "grid-size": Flag(shooting.GRID_SIZE, int, rules=(_at_least(1000),),
+                      help="shooting grid points, >= 1000"),
     "tol": Flag(1e-8, float, rules=((lambda v: 1e-10 <= v <= 1e-2, "must be in [1e-10, 1e-2]"),),
                 help="shooting search width, in units of hbar^2/b^2 (boxes) or hbar (half-ho); "
                      "in [1e-10, 1e-2]"),

@@ -10,7 +10,10 @@ wall, sum to a continuous counting phase Theta(E) whose floor is the number
 of levels below E, and level k is the root of Theta = k + 1 (the Pruefer
 counting of SLEIGN2 and of Pryce 1993, ch. 5).  The sweep that gives Theta
 also gives dTheta/dE by the Wronskian identity, so each level is found by a
-safeguarded Newton iteration.  Fully independent of the variational solver,
+safeguarded Newton iteration.  The final shot at a level takes the same
+branches, scales the right one to the left by their Pruefer vectors at the
+match point and joins them there; on a mirror-symmetric model the sign of
+that scale is the parity.  Fully independent of the variational solver,
 which it cross-checks.
 
 A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
@@ -73,8 +76,8 @@ class MatchResult:
     """One two-sided shot at a trial energy.
 
     ``psi`` is the assembled solution on ``xs``, max-normalised.  ``parity``
-    is the sign of its mirror overlap, ``None`` for a model that is not
-    mirror-symmetric (the half line).
+    is the sign of the scale that joins the right branch to the left,
+    ``None`` for a model that is not mirror-symmetric (the half line).
     """
 
     energy: float
@@ -85,6 +88,7 @@ class MatchResult:
 
 
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
+GRID_SIZE = 4001  # default grid points, of the API and of the CLI's --grid-size
 E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
 SERIES_FRAC = 0.05  # wall series region, in units of the length scale
 # Frobenius terms a sweep sums; up to the search ceiling the terms fall below
@@ -95,7 +99,7 @@ _A0 = np.zeros(_SERIES_TERMS)
 _A0[0] = 1.0
 
 
-def default_grid(model, size=20001):
+def default_grid(model, size=GRID_SIZE):
     """Integration grid over the model's declared ends.
 
     An inverse-square wall is offset inward by eps = EPS_FRAC * length_scale;
@@ -308,36 +312,55 @@ def _start(setup, end, E):
     return end.base * (end.powers @ coefficients)
 
 
-def _sweep_left(setup, E, T, stop):
-    """Left-to-right Numerov sweep over xs[:stop]."""
-    start = _start(setup, setup.left, E)
-    psi = np.zeros(stop)
+def _sweep(start, T):
+    """Numerov sweep over T from the start values, both in sweep order."""
+    psi = np.zeros(T.size)
     psi[:start.size] = start
-    return _numerov(T[:stop], psi, start.size - 1)
+    return _numerov(T, psi, start.size - 1)
 
 
-def _sweep_right(setup, E, T, stop):
-    """Right-to-left Numerov sweep over xs[stop:], returned aligned with them."""
-    start = _start(setup, setup.right, E)
-    nr = T.size - stop
-    psi = np.zeros(nr)
-    psi[:start.size] = start
-    _numerov(np.ascontiguousarray(T[::-1][:nr]), psi, start.size - 1)
-    return psi[::-1]
+def _branches(setup, E):
+    """The two branches at E, each a (psi, T, i) swept from its own wall and
+    held in its own order, with the match point m at its index i; and the
+    Pruefer scale k = sqrt(max(|E - V_m|, energy_scale) / kappa).
+
+    On a mirror-symmetric model the right branch is the left one reflected,
+    so one left sweep through max(m, m*) + 1, m* = n - 1 - m, about half the
+    grid, gives both.  The half line sweeps the left branch through m + 1
+    and the right one from m - 1, about one grid sweep in all.
+    """
+    model, m = setup.model, setup.match
+    ms = setup.xs.size - 1 - m
+    k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
+    if model.symmetric:
+        T = _numerov_t(model, E, setup.grid, setup.V[:max(m, ms) + 2])
+        left = (_sweep(_start(setup, setup.left, E), T), T, m)
+        # on an odd grid m* = m, the centre, and the right branch is the left one
+        return left, left if ms == m else (left[0], T, ms), k
+    T = _numerov_t(model, E, setup.grid, setup.V)
+    T_left, T_right = T[:m + 2], np.ascontiguousarray(T[::-1][:ms + 2])
+    return ((_sweep(_start(setup, setup.left, E), T_left), T_left, m),
+            (_sweep(_start(setup, setup.right, E), T_right), T_right, ms), k)
+
+
+def _pruefer(psi, T, i, hk):
+    """Pruefer vector (psi, psi'/k) at index i of a branch, psi' along its
+    own sweep.  psi' is the difference
+    ((1 - 2 T_{i+1}) psi_{i+1} - (1 - 2 T_{i-1}) psi_{i-1}) / 2h, fourth
+    order on a Numerov solution."""
+    slope = float((1.0 - 2.0 * T[i + 1]) * psi[i + 1] - (1.0 - 2.0 * T[i - 1]) * psi[i - 1]) / (2.0 * hk)
+    return float(psi[i]), slope
 
 
 def _turns(psi, T, i, hk):
     """Pruefer angle over pi at index i of a branch swept from its own wall:
     its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
     (sum_{j<i} psi_j^2 + psi_i^2 / 2) / A^2, A^2 = psi_i^2 + (psi_i'/k)^2,
-    which sets the angle's rate in E.  psi' is the difference
-    ((1 - 2 T_{i+1}) psi_{i+1} - (1 - 2 T_{i-1}) psi_{i-1}) / 2h, fourth order
-    on a Numerov solution, so that this rate is the derivative of the angle
-    to O(h^4) and not O(h^2).  Any difference of psi_{i-1}, psi_i, psi_{i+1}
-    gives the same roots of Theta: the Numerov Wronskian of two branches is
-    constant across i."""
-    value = float(psi[i])
-    slope = float((1.0 - 2.0 * T[i + 1]) * psi[i + 1] - (1.0 - 2.0 * T[i - 1]) * psi[i - 1]) / (2.0 * hk)
+    which sets the angle's rate in E.  The fourth-order psi' of ``_pruefer``
+    makes this rate the derivative of the angle to O(h^4) and not O(h^2).
+    Any difference of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of
+    Theta: the Numerov Wronskian of two branches is constant across i."""
+    value, slope = _pruefer(psi, T, i, hk)
     head = psi[:i]
     weight = (float(head @ head) + 0.5 * value * value) / (value * value + slope * slope)
     # the angle mod pi, taken in [0, pi] from the sign of psi_i that the count
@@ -351,36 +374,22 @@ def _phase(setup, E):
 
     Theta = n_L + n_R + (phi_L + phi_R) / pi is the sum of the two branches'
     Pruefer angles at the match point m, each counted from its own wall
-    (``_turns``), with k = sqrt(max(|E - V_m|, energy_scale) / kappa): the
-    right branch's angle is atan2(psi, -psi'/k).  It is continuous and
-    increasing in E, floor(Theta) is the number of levels below E, and level
-    k is the root of Theta = k + 1, where the two Pruefer vectors are
-    parallel whatever k.  By the Wronskian identity
+    (``_branches``, ``_turns``): with psi' in x, the right branch's angle is
+    atan2(psi, -psi'/k).  It is continuous and increasing in E,
+    floor(Theta) is the number of levels below E, and level k is the root
+    of Theta = k + 1, where the two Pruefer vectors are parallel whatever
+    k.  By the Wronskian identity
     kappa (psi_E psi' - psi psi_E')(m) = int_wall^m psi^2, each angle moves at
     int psi^2 / (kappa k A^2); the term from dk/dE is left out, as it cancels
-    between the branches at every root.  On a mirror-symmetric model one left
-    sweep through max(m, m*) + 1, about half the grid, gives both branches:
-    the right one is the left one reflected, so its angle is the left
-    branch's at m* = n - 1 - m (m* = m, the centre, on an odd grid).  The
-    half line sweeps the left branch through m + 1 and the right one from
-    m - 1, about one grid sweep in all.
+    between the branches at every root.
     """
     if E not in setup.phases:
-        model, m = setup.model, setup.match
-        ms = setup.xs.size - 1 - m
+        left, right, k = _branches(setup, E)
         h = setup.grid.spacing
-        k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
-        if model.symmetric:
-            T = _numerov_t(model, E, setup.grid, setup.V[:max(m, ms) + 2])
-            psi = _sweep_left(setup, E, T, T.size)
-            left = _turns(psi, T, m, h * k)
-            right = left if ms == m else _turns(psi, T, ms, h * k)
-        else:
-            T = _numerov_t(model, E, setup.grid, setup.V)
-            left = _turns(_sweep_left(setup, E, T, m + 2), T, m, h * k)
-            # the right branch from its own wall, where xs[m] is index ms
-            right = _turns(_sweep_right(setup, E, T, m - 1)[::-1], T[::-1], ms, h * k)
-        setup.phases[E] = (left[0] + right[0], h * (left[1] + right[1]) / (math.pi * model.kappa * k))
+        turns_l = _turns(*left, h * k)
+        turns_r = turns_l if right is left else _turns(*right, h * k)
+        setup.phases[E] = (turns_l[0] + turns_r[0],
+                           h * (turns_l[1] + turns_r[1]) / (math.pi * setup.model.kappa * k))
     return setup.phases[E]
 
 
@@ -412,29 +421,22 @@ def _newton(f, target, lo, hi, f_lo, f_hi, width):
 
 
 def _shoot(model, E, grid):
-    """Two-sided shot at E.  The left branch is swept through m + 2 and the
-    right one from m - 2, so they share the 5-point overlap around the match
-    point m that sets their ratio."""
+    """Two-sided shot at E from the branches of ``_branches``.  The right
+    branch is scaled by the alpha that fits alpha times its Pruefer vector at
+    the match point m to the left one's in least squares, and the two are
+    joined at m.  On a mirror-symmetric model alpha is +-1 up to the search
+    width, and its sign is the parity."""
     setup = _setup(model, grid)
-    m = setup.match
-    T = _numerov_t(model, E, grid, setup.V)
-    psi_l = _sweep_left(setup, E, T, m + 3)
-    psi_r = _sweep_right(setup, E, T, m - 2)  # psi_r[j] is at xs[m - 2 + j]
-
-    # least-squares branch ratio over the 5-point overlap: stays correct
-    # (value and sign) when the match value itself passes through zero
-    lwin, rwin = psi_l[m - 2:], psi_r[:5]
-    denom = float(rwin @ rwin)
-    alpha = float(lwin @ rwin) / denom if denom > 0 else 1.0
-    assembled = np.concatenate([psi_l[:m], alpha * psi_r[2:]])
-
-    # odd levels have their node at the match point, where both branches pass
-    # through ~0 with signs set by the last digits of E; counting across a
-    # small gap keeps the genuine sign change and ignores the matching jitter
-    gapped = np.concatenate([assembled[: m - 3], assembled[m + 4:]])
+    (psi_l, T_l, m), (psi_r, T_r, ms), k = _branches(setup, E)
+    hk = grid.spacing * k
+    value_l, slope_l = _pruefer(psi_l, T_l, m, hk)
+    value_r, slope_r = _pruefer(psi_r, T_r, ms, hk)
+    # the right slope is along its own sweep, the negative of psi'/k in x
+    alpha = (value_l * value_r - slope_l * slope_r) / (value_r * value_r + slope_r * slope_r)
+    assembled = np.concatenate([psi_l[:m], alpha * psi_r[ms::-1]])
     psi = assembled / np.max(np.abs(assembled))
-    parity = ("even" if float(psi @ psi[::-1]) >= 0 else "odd") if model.symmetric else None
-    return MatchResult(E, count_nodes(gapped), parity, setup.xs, psi)
+    parity = ("even" if alpha >= 0 else "odd") if model.symmetric else None
+    return MatchResult(E, count_nodes(psi), parity, setup.xs, psi)
 
 
 def numerov_integrate(model, E, grid=None):
@@ -541,10 +543,7 @@ def boundary_exponent_probe(model, E, grid=None):
     if grid is None:
         grid = default_grid(model, size=40001)  # dense enough for >= 20 fit points
     probe = _probe(model, grid)
-    T = _numerov_t(model, E, grid, probe.V)
-    psi = np.zeros(T.size)
-    psi[:probe.start.size] = probe.start
-    _numerov(T, psi, probe.start.size - 1)
+    psi = _sweep(probe.start, _numerov_t(model, E, grid, probe.V))
     a = np.abs(psi[probe.window])
     good = a > 0
     if np.count_nonzero(good) < 20:

@@ -70,22 +70,22 @@ class TestNormSquared:
 
 class TestModeClassifier:
     def test_two_candidates_per_index(self):
-        accepted, rejected = classify_trig_modes(2, GEOM)
+        accepted, rejected = classify_trig_modes(2)
         assert [(m.n, m.kind) for m in accepted] == [(1, "cosine"), (2, "sine")]
         assert [(m.n, m.kind) for m in rejected] == [(1, "sine"), (2, "cosine")]
 
     def test_single_mode(self):
-        accepted, rejected = classify_trig_modes(1, GEOM)
+        accepted, rejected = classify_trig_modes(1)
         assert [(m.n, m.kind) for m in accepted] == [(1, "cosine")]
         assert [(m.n, m.kind) for m in rejected] == [(1, "sine")]
 
     @pytest.mark.parametrize("m", range(1, 17))
     def test_exactly_half_accepted(self, m):
-        accepted, rejected = classify_trig_modes(m, GEOM)
+        accepted, rejected = classify_trig_modes(m)
         assert len(accepted) == m and len(rejected) == m
 
     def test_accepted_modes_vanish_at_walls(self):
-        accepted, rejected = classify_trig_modes(8, GEOM)
+        accepted, rejected = classify_trig_modes(8)
         for mode in accepted:
             k = mode.n * math.pi / 2
             val = math.cos(k) if mode.kind == "cosine" else math.sin(k)

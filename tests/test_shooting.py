@@ -13,7 +13,7 @@ from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
 from boxaffine.shooting import (_A0, E_MAX_FACTOR, SERIES_FRAC, BracketFailure, FitFailure,
                                 ShootingGrid, _launch, _newton, _numerov, _numerov_t, _phase, _probe,
-                                _setup, _start, _sweep_left, _sweep_right, _turns,
+                                _setup, _start, _sweep, _turns,
                                 boundary_exponent_probe, count_nodes, default_grid,
                                 eigenvalue_search, numerov_integrate, wavefunction)
 
@@ -229,8 +229,9 @@ def _two_sided_phase(setup, E):
     # the Wronskian identity; the reference the mirrored form must reproduce
     m, model = setup.match, setup.model
     T = _numerov_t(model, E, setup.grid, setup.V)
-    psi_l = _sweep_left(setup, E, T, m + 2)
-    psi_r = _sweep_right(setup, E, T, m - 1)  # psi_r[j] is at xs[m - 1 + j]
+    psi_l = _sweep(_start(setup, setup.left, E), T[:m + 2])
+    right = np.ascontiguousarray(T[::-1][:T.size - m + 1])
+    psi_r = _sweep(_start(setup, setup.right, E), right)[::-1]  # psi_r[j] is at xs[m - 1 + j]
     h = setup.grid.spacing
     k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
 
@@ -275,19 +276,20 @@ class TestMirroredWronskian:
 
     def test_no_energy_swept_twice(self, monkeypatch):
         # every phase is memoised with its derivative, and the levels share the
-        # scan's, so a spectrum sweeps each energy once
-        energies = []
+        # scan's, so a spectrum sweeps each energy once: T = h^2 (V - E) / 12
+        # kappa differs between energies
+        sweeps = []
 
-        def counted(setup, E, T, stop):
-            energies.append(E)
-            return _sweep_left(setup, E, T, stop)
+        def counted(start, T):
+            sweeps.append(T.tobytes())
+            return _sweep(start, T)
 
-        monkeypatch.setattr(shooting, "_sweep_left", counted)
+        monkeypatch.setattr(shooting, "_sweep", counted)
         _setup.cache_clear()
         grid = default_grid(AQ, 4001)
         for k in range(12):
             eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
-        assert len(energies) == len(set(energies))
+        assert len(sweeps) == len(set(sweeps))
 
 
 @functools.lru_cache(maxsize=None)
@@ -313,7 +315,7 @@ def _onesided_nodes(psi_l, T):
 
 def _full_sweep_nodes(setup, E):
     T = _numerov_t(setup.model, E, setup.grid, setup.V)
-    return _onesided_nodes(_sweep_left(setup, E, T, T.size), T)
+    return _onesided_nodes(_sweep(_start(setup, setup.left, E), T), T)
 
 
 def _mirrored_nodes(setup, E):
@@ -326,7 +328,7 @@ def _mirrored_nodes(setup, E):
     n = setup.xs.size
     p = (n - 1) // 2
     T = _numerov_t(setup.model, E, setup.grid, setup.V[:p + 3])
-    u = _sweep_left(setup, E, T, T.size)
+    u = _sweep(_start(setup, setup.left, E), T)
     count = 2 * count_nodes(u[:p + 1])
     if n % 2:
         return count + int(u[p] * (u[p + 1] - u[p - 1]) < 0)
@@ -647,6 +649,44 @@ class TestWavefunction:
             assert cosine == pytest.approx(1.0, abs=1e-8)
 
 
+class TestFinalShot:
+    # the final shot joins the branches of the counting phase at the match
+    # point; odd grids match at the centre, even ones next to it
+    @pytest.mark.parametrize("size", [1000, 1001, 4000, 4001])
+    @pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (3.7, 20.0)])
+    @pytest.mark.parametrize("cls", [AqBox, CqBox, HalfHarmonic], ids=["aq-box", "cq-box", "half-ho"])
+    def test_nodes_and_parity_of_levels(self, cls, b, hbar, size):
+        model = HalfHarmonic(hbar) if cls is HalfHarmonic else cls(BoxGeometry(b, hbar))
+        grid = default_grid(model, size)
+        for k in range(12):
+            shot = numerov_integrate(model, eigenvalue_search(model, k, tol=1e-8, grid=grid), grid)
+            assert shot.node_count == k
+            if model.symmetric:
+                even = k % 2 == 0
+                assert shot.parity == ("even" if even else "odd")
+                # measured <= 1.7e-10 (cq-box) at these grids
+                assert np.max(np.abs(shot.psi - (1.0 if even else -1.0) * shot.psi[::-1])) <= 1e-8
+            else:
+                assert shot.parity is None
+
+    @pytest.mark.parametrize("size", [4000, 4001])
+    def test_box_shot_sweeps_half_the_grid(self, size, monkeypatch):
+        lengths = []
+
+        def counted(T, psi, i0):
+            lengths.append(T.shape[0])
+            return _numerov(T, psi, i0)
+
+        monkeypatch.setattr(shooting, "_numerov", counted)
+        for model in (AQ, CQ):
+            grid = default_grid(model, size)
+            m = _setup(model, grid).match
+            for E in np.geomspace(0.5, 400.0, 6) * model.energy_scale:
+                lengths.clear()
+                numerov_integrate(model, E, grid)
+                assert sum(lengths) <= max(m, size - 1 - m) + 2
+
+
 class TestGridValidation:
     def test_minimum_size(self):
         with pytest.raises(ValueError):
@@ -665,6 +705,7 @@ class TestGridValidation:
         assert g.x_max == 24.0
         with pytest.raises(ModelUnsupported):
             default_grid(AntiBox(GEOM), 2001)
+        assert default_grid(AQ).size == cli._DEFAULTS["grid-size"]
 
 
 def test_count_nodes_matches_difference_count():
