@@ -1,13 +1,16 @@
 """Built-in acceptance suite.
 
-Each numbered criterion is a standalone callable returning a CriterionResult;
-`run_all` executes them in order and prints one PASS/FAIL line apiece.  The
-CLI `validate` subcommand and the pytest acceptance module both run exactly
-these checks, at the tolerances stated here.
+Each numbered criterion is a standalone callable returning a CriterionResult.
+Its check returns (ok, detail), and the ``_criterion`` wrapper times the whole
+call, fails it at or past its runtime bound, where it has one, and shows the
+runtime against that bound.  `run_all` executes them in order and, given a
+stream, prints one PASS/FAIL line apiece.  The CLI `validate` subcommand and
+the pytest acceptance module both run exactly these checks, at the tolerances
+stated here.
 """
 
+import functools
 import math
-import sys
 import time
 from dataclasses import dataclass
 
@@ -29,11 +32,29 @@ class CriterionResult:
     runtime_s: float
 
 
+def _criterion(name, runtime_bound=None):
+    """Decorator: the check returns (ok, detail); the criterion returns its
+    CriterionResult, timed over the whole call and failed at or past
+    ``runtime_bound`` seconds."""
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion():
+            t0 = time.perf_counter()
+            ok, detail = check()
+            dt = time.perf_counter() - t0
+            if runtime_bound is not None:
+                ok = ok and dt < runtime_bound
+                detail += f", runtime {dt:.2f}s (<{runtime_bound:g}s)"
+            return CriterionResult(name, ok, detail, dt)
+        return criterion
+    return wrap
+
+
+@_criterion("1 CQ spectrum reproduction", runtime_bound=1.0)
 def criterion_1_cq_spectrum():
-    """Closed-form box levels from both solvers, under a second."""
+    """Closed-form box levels from both solvers."""
     geom = BoxGeometry(1.0, 1.0)
     model = CqBox(geom)
-    t0 = time.perf_counter()
     spec = ritz.compute_spectrum(model, 32, n_diagnostics=8)
     grid = shooting.default_grid(model, 20001)
     rr_err = max(abs(spec.eigenvalues[n - 1] - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
@@ -41,17 +62,13 @@ def criterion_1_cq_spectrum():
     sh_err = max(abs(shooting.eigenvalue_search(model, n - 1, tol=1e-8, grid=grid)
                      - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
                  for n in range(1, 9))
-    dt = time.perf_counter() - t0
-    ok = rr_err <= 1e-8 and sh_err <= 1e-6 and dt < 1.0
-    return CriterionResult(
-        "1 CQ spectrum reproduction", ok,
-        f"rayleigh-ritz rel err {rr_err:.2e} (<=1e-8), shooting rel err {sh_err:.2e} "
-        f"(<=1e-6), runtime {dt:.2f}s (<1s)", dt)
+    return (rr_err <= 1e-8 and sh_err <= 1e-6,
+            f"rayleigh-ritz rel err {rr_err:.2e} (<=1e-8), shooting rel err {sh_err:.2e} (<=1e-6)")
 
 
+@_criterion("2 toy delta")
 def criterion_2_toy_delta():
     """The kink function's second derivative is one unit delta, not in L2."""
-    t0 = time.perf_counter()
     w2 = weak_second_derivative(flat_ramp())
     deltas = w2.delta_terms
     smooth_max = float(np.max(np.abs(w2.smooth_part(np.linspace(-0.9, 0.9, 501)))))
@@ -60,43 +77,34 @@ def criterion_2_toy_delta():
           and abs(deltas[0].coefficient - 1.0) <= 1e-12
           and not w2.delta_prime_terms
           and smooth_max == 0.0 and math.isinf(norm))
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        "2 toy delta", ok,
-        f"{len(deltas)} delta(s) at {[d.location for d in deltas]}, "
-        f"coefficient {deltas[0].coefficient!r}, smooth max {smooth_max}, L2 {norm}", dt)
+    return ok, (f"{len(deltas)} delta(s) at {[d.location for d in deltas]}, "
+                f"coefficient {deltas[0].coefficient!r}, smooth max {smooth_max}, L2 {norm}")
 
 
+@_criterion("3 obstruction scaling", runtime_bound=1.0)
 def criterion_3_obstruction_scaling():
     """Mesh second-derivative norm of the ground mode diverges like 1/h."""
-    t0 = time.perf_counter()
     phi1 = cq_eigenfunction_extended(1, BoxGeometry(1.0, 1.0))
     hs = np.array([2.0 ** -k for k in range(6, 13)])
     vals = np.array([discrete_second_derivative_norm(phi1, h) for h in hs])
     slope = float(np.polyfit(np.log(hs), np.log(vals), 1)[0])
-    dt = time.perf_counter() - t0
-    ok = -1.1 <= slope <= -0.9 and dt < 1.0
-    return CriterionResult(
-        "3 obstruction scaling", ok,
-        f"log-log slope {slope:.4f} (in [-1.1,-0.9]), runtime {dt:.2f}s (<1s)", dt)
+    return -1.1 <= slope <= -0.9, f"log-log slope {slope:.4f} (in [-1.1,-0.9])"
 
 
+@_criterion("4 mode counting")
 def criterion_4_mode_counting():
     """Exactly half of the 2M trig candidates pass the wall conditions."""
-    t0 = time.perf_counter()
     ok = True
     for m in range(1, 17):
         accepted, rejected = classify_trig_modes(m)
         ok &= len(accepted) == m and len(rejected) == m
         ok &= all((mode.kind == "cosine") == (mode.n % 2 == 1) for mode in accepted)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        "4 mode counting", ok, "M accepted of 2M candidates for M = 1..16", dt)
+    return ok, "M accepted of 2M candidates for M = 1..16"
 
 
+@_criterion("5 half-harmonic validation", runtime_bound=5.0)
 def criterion_5_half_harmonic():
     """Half-line oscillator: closed-form levels and wall exponent 3/2."""
-    t0 = time.perf_counter()
     worst = 0.0
     exponents = []
     for hbar in (0.5, 1.0, 2.0):
@@ -107,19 +115,15 @@ def criterion_5_half_harmonic():
             exact = half_ho_eigenvalue(k, hbar)
             worst = max(worst, abs(e - exact) / exact)
         exponents.append(shooting.boundary_exponent_probe(model, half_ho_eigenvalue(0, hbar)))
-    dt = time.perf_counter() - t0
-    exp_ok = all(abs(s - 1.5) <= 0.01 for s in exponents)
-    ok = worst <= 1e-6 and exp_ok and dt < 5.0
-    return CriterionResult(
-        "5 half-harmonic validation", ok,
-        f"max rel err {worst:.2e} (<=1e-6), exponents {[f'{s:.3f}' for s in exponents]} "
-        f"(1.5 +- 0.01), runtime {dt:.2f}s (<5s)", dt)
+    return (worst <= 1e-6 and all(abs(s - 1.5) <= 0.01 for s in exponents),
+            f"max rel err {worst:.2e} (<=1e-6), exponents {[f'{s:.3f}' for s in exponents]} "
+            f"(1.5 +- 0.01)")
 
 
+@_criterion("6 AQ box cross-method", runtime_bound=30.0)
 def criterion_6_aq_box_cross_method():
     """The open eigenproblem: two independent methods agree to 1e-6."""
     model = AqBox(BoxGeometry(1.0, 1.0))
-    t0 = time.perf_counter()
     sweep = ritz.convergence_sweep(model, (8, 16, 24, 32, 48), 6)
     monotone = bool(np.all(np.diff(sweep.energies, axis=0) <= 1e-12))
     final_change = float(np.max(sweep.final_change))
@@ -134,32 +138,26 @@ def criterion_6_aq_box_cross_method():
         structure_ok &= diag.parity == ("even" if k % 2 == 0 else "odd")
         structure_ok &= diag.node_count == k
         structure_ok &= shooting.numerov_integrate(model, e_sh, grid).node_count == k
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-6 and monotone and final_change <= 1e-8 and structure_ok and dt < 30.0
-    return CriterionResult(
-        "6 AQ box cross-method", ok,
-        f"max rel delta {worst:.2e} (<=1e-6), monotone {monotone}, final change "
-        f"{final_change:.2e} (<=1e-8), parity/nodes {structure_ok}, runtime {dt:.1f}s (<30s)", dt)
+    return (worst <= 1e-6 and monotone and final_change <= 1e-8 and structure_ok,
+            f"max rel delta {worst:.2e} (<=1e-6), monotone {monotone}, final change "
+            f"{final_change:.2e} (<=1e-8), parity/nodes {structure_ok}")
 
 
+@_criterion("7 scaling law")
 def criterion_7_scaling_law():
     """E_n(b, hbar) * b^2 / hbar^2 is invariant."""
-    t0 = time.perf_counter()
     ref = ritz.compute_spectrum(AqBox(BoxGeometry(1.0, 1.0)), 48, n_diagnostics=4)
     worst = 0.0
     for b, hbar in ((2.0, 1.0), (1.0, 2.0), (0.5, 3.0)):
         spec = ritz.compute_spectrum(AqBox(BoxGeometry(b, hbar)), 48, n_diagnostics=4)
         scaled = spec.eigenvalues[:4] * b * b / hbar**2
         worst = max(worst, float(np.max(np.abs(scaled - ref.eigenvalues[:4]) / ref.eigenvalues[:4])))
-    dt = time.perf_counter() - t0
-    ok = worst <= 1e-8
-    return CriterionResult(
-        "7 scaling law", ok, f"max rel deviation {worst:.2e} (<=1e-8) for n<=3", dt)
+    return worst <= 1e-8, f"max rel deviation {worst:.2e} (<=1e-8) for n<=3"
 
 
+@_criterion("8 boundary asymptotics")
 def criterion_8_boundary_asymptotics():
     """Wall asymptote of the potential and the 3/2 exponent from both solvers."""
-    t0 = time.perf_counter()
     worst_ratio = 0.0
     for b in (1.0, 2.0):
         geom = BoxGeometry(b, 1.0)
@@ -171,17 +169,14 @@ def criterion_8_boundary_asymptotics():
     rr_exp = spec.levels[0].boundary_exponent
     e0 = shooting.eigenvalue_search(model, 0, tol=1e-9)
     sh_exp = shooting.boundary_exponent_probe(model, e0)
-    dt = time.perf_counter() - t0
-    ok = worst_ratio <= 5e-5 and abs(rr_exp - 1.5) <= 0.01 and abs(sh_exp - 1.5) <= 0.01
-    return CriterionResult(
-        "8 boundary asymptotics", ok,
-        f"|ratio-1| {worst_ratio:.2e} (<=5e-5) at b-|x|=1e-4 b; exponents "
-        f"rayleigh-ritz {rr_exp:.4f}, shooting {sh_exp:.4f} (1.5 +- 0.01)", dt)
+    return (worst_ratio <= 5e-5 and abs(rr_exp - 1.5) <= 0.01 and abs(sh_exp - 1.5) <= 0.01,
+            f"|ratio-1| {worst_ratio:.2e} (<=5e-5) at b-|x|=1e-4 b; exponents "
+            f"rayleigh-ritz {rr_exp:.4f}, shooting {sh_exp:.4f} (1.5 +- 0.01)")
 
 
+@_criterion("9 numerical infrastructure")
 def criterion_9_infrastructure():
     """Quadrature exactness and generalized eigensolver residuals."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(20260809)
     quad_ok = True
     worst_quad = 0.0
@@ -206,12 +201,9 @@ def criterion_9_infrastructure():
                    / (np.linalg.norm(h) + abs(evals[i]) * np.linalg.norm(s)))
             worst_res = max(worst_res, float(res))
         eig_ok &= worst_res <= 1e-9
-    dt = time.perf_counter() - t0
-    ok = quad_ok and eig_ok
-    return CriterionResult(
-        "9 numerical infrastructure", ok,
-        f"quadrature worst abs err {worst_quad:.2e} (<=1e-12), eigensolver worst rel "
-        f"residual {worst_res:.2e} (<=1e-9)", dt)
+    return (quad_ok and eig_ok,
+            f"quadrature worst abs err {worst_quad:.2e} (<=1e-12), eigensolver worst rel "
+            f"residual {worst_res:.2e} (<=1e-9)")
 
 
 ALL_CRITERIA = (
@@ -227,14 +219,14 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(verbose=False, stream=None):
-    """Run criteria 1-9 in order; one result per criterion."""
-    stream = stream or sys.stdout
+def run_all(stream=None):
+    """Run criteria 1-9 in order; one result per criterion, and one line per
+    criterion on ``stream`` when it is given."""
     results = []
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)
-        if verbose:
+        if stream is not None:
             stream.write(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}\n")
             stream.flush()
     return results

@@ -141,11 +141,12 @@ _FLAGS = {
     "W": Flag(0.0, float, rules=(_at_least(0),), help="anti-box pull strength"),
     "levels": Flag(6, int, rules=(_within(1, MAX_LEVELS),)),
     "basis-size": Flag(32, int, rules=(_within(1, ritz.MAX_BASIS),)),
-    "grid-size": Flag(shooting.GRID_SIZE, int, rules=(_at_least(1000),),
-                      help="shooting grid points, >= 1000"),
-    "tol": Flag(1e-8, float, rules=((lambda v: 1e-10 <= v <= 1e-2, "must be in [1e-10, 1e-2]"),),
+    "grid-size": Flag(shooting.GRID_SIZE, int, rules=(_at_least(shooting.MIN_GRID_SIZE),),
+                      help=f"shooting grid points, >= {shooting.MIN_GRID_SIZE}"),
+    "tol": Flag(shooting.TOL, float, rules=((lambda v: shooting.MIN_TOL <= v <= 1e-2,
+                                             f"must be in [{shooting.MIN_TOL:g}, 1e-2]"),),
                 help="shooting search width, in units of hbar^2/b^2 (boxes) or hbar (half-ho); "
-                     "in [1e-10, 1e-2]"),
+                     f"in [{shooting.MIN_TOL:g}, 1e-2]"),
     "method": Flag(None, choices=("rayleigh-ritz", "shooting", "both")),
     # unset, it is csv for `potential` and json otherwise
     "format": Flag(None, choices=("json", "csv"), dest="fmt",
@@ -512,7 +513,7 @@ def run_convergence(cfg):
 
 
 def run_validate():
-    results = acceptance.run_all(verbose=True, stream=sys.stdout)
+    results = acceptance.run_all(sys.stdout)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
 
 

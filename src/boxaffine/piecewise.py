@@ -152,31 +152,20 @@ def weak_second_derivative(f):
     )
 
 
-def l2_norm_squared(w, interval=None):
-    """Integral of |w|^2 over the interval; +inf as soon as any delta content
-    lies strictly inside it."""
-    smooth = w.smooth_part
-    if interval is None:
-        interval = smooth.ambient_interval
-    lo, hi = interval
-    alo, ahi = smooth.ambient_interval
-    if lo < alo or hi > ahi:
-        raise ValueError("interval must lie within the ambient interval")
-    for term in tuple(w.delta_terms) + tuple(w.delta_prime_terms):
-        if lo < term.location < hi:
-            return math.inf
+def l2_norm_squared(w):
+    """Integral of |w|^2 over the ambient interval; +inf as soon as w carries
+    any delta content, which always lies at an interior breakpoint."""
+    if not w.is_square_integrable:
+        return math.inf
 
     from scipy import integrate  # deferred: ~0.3 s of import that most runs never use
 
     total = 0.0
-    for p in smooth.pieces:
-        a, b = max(p.lo, lo), min(p.hi, hi)
-        if a >= b:
-            continue
-        val, err = integrate.quad(lambda x: float(p.f(np.asarray(x, float))) ** 2, a, b,
+    for p in w.smooth_part.pieces:
+        val, err = integrate.quad(lambda x: float(p.f(np.asarray(x, float))) ** 2, p.lo, p.hi,
                                   epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         if err > 10 * max(QUAD_TOL, QUAD_TOL * abs(val)):
-            raise QuadratureFailure(f"quadrature error {err:.2e} on piece ({a}, {b})")
+            raise QuadratureFailure(f"quadrature error {err:.2e} on piece ({p.lo}, {p.hi})")
         total += val
     return total
 

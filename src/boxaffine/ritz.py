@@ -94,12 +94,11 @@ def _stiffness(model, basis):
     return n * (n + 4 * w - 1) + c
 
 
-def assemble_matrices(model, basis=None):
+def assemble_matrices(model, basis):
     """H = int [kappa chi_m' chi_n' + V chi_m chi_n] dx and S = int chi_m chi_n dx
     in closed form: H is diagonal, and S = b (I - J^2)[:N, :N] since chi_m chi_n
     carries one factor 1 - t^2 beyond the weight, with J the (N+1)-square
     Jacobi matrix so that the block is exact."""
-    basis = basis or basis_for(model, 32)
     if basis != basis_for(model, basis.size):  # raises ModelUnsupported off the two boxes
         raise ValueError("basis does not match the model's walls and box")
     n, b = basis.size, basis.geom.b
@@ -173,7 +172,7 @@ class SpectrumResult:
         return float(out[0]) if scalar else out
 
 
-def compute_spectrum(model, n_basis=32, n_diagnostics=None):
+def compute_spectrum(model, n_basis, n_diagnostics=None):
     """Assemble, solve, and attach diagnostics for the lowest levels.
 
     Parity comes from the even/odd Gegenbauer coefficient support, node counts
@@ -234,7 +233,7 @@ class ConvergenceTable:
     final_change: np.ndarray  # per-level relative change over the last step
 
 
-def convergence_sweep(model, sizes, n_levels=6):
+def convergence_sweep(model, sizes, n_levels):
     """Per-level eigenvalues across basis sizes; variational, so each column
     is nonincreasing in N."""
     sizes = tuple(int(s) for s in sizes)

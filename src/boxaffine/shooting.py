@@ -41,7 +41,7 @@ class BracketFailure(RuntimeError):
 
 
 class FitFailure(RuntimeError):
-    """Too few grid points inside the boundary-exponent fit window."""
+    """The wavefunction vanishes inside the boundary-exponent fit window."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class ShootingGrid:
     eps: float
 
     def __post_init__(self):
-        if self.size < 1000:
-            raise ValueError("grid needs at least 1000 points")
+        if self.size < MIN_GRID_SIZE:
+            raise ValueError(f"grid needs at least {MIN_GRID_SIZE} points")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be < x_max")
         if self.eps < 0:
@@ -89,6 +89,10 @@ class MatchResult:
 
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
 GRID_SIZE = 4001  # default grid points, of the API and of the CLI's --grid-size
+MIN_GRID_SIZE = 1000  # fewest grid points, of ShootingGrid and of --grid-size
+TOL = 1e-8  # default search width, of eigenvalue_search and of the CLI's --tol
+MIN_TOL = 1e-10  # narrowest search width, of eigenvalue_search and of --tol
+PROBE_GRID_SIZE = 40001  # boundary_exponent_probe's grid: ~200 fit points on a box, 33 on half-ho
 E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
 SERIES_FRAC = 0.05  # wall series region, in units of the length scale
 # Frobenius terms a sweep sums; up to the search ceiling the terms fall below
@@ -269,9 +273,10 @@ def _recurrence(wall_series):
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """What every shot on one (model, grid) shares.  ``phases`` memoises the
-    counting phase and its energy derivative (``_phase``) by trial energy, a
-    pure function of (model, grid, E)."""
+    """What every shot on one (model, grid) shares.  ``right`` is None on a
+    mirror-symmetric model, whose right branch is the left one reflected.
+    ``phases`` memoises the counting phase and its energy derivative
+    (``_phase``) by trial energy, a pure function of (model, grid, E)."""
 
     model: object
     grid: ShootingGrid
@@ -279,7 +284,7 @@ class _Setup:
     V: np.ndarray
     match: int
     left: _End
-    right: _End
+    right: Optional[_End]
     phases: dict
 
 
@@ -296,7 +301,8 @@ def _setup(model, grid):
     m = int(np.argmin(np.abs(xs))) if model.symmetric else int(np.argmin(V))
     m = min(max(m, 3), n - 4)
     left = _end(model, model.walls[0], xs - xs[0] + grid.eps)
-    right = _end(model, model.walls[1], ((xs[-1] - xs) + grid.eps)[::-1])
+    right = None if model.symmetric else _end(model, model.walls[1],
+                                               ((xs[-1] - xs) + grid.eps)[::-1])
     return _Setup(model, grid, xs, V, m, left, right, {})
 
 
@@ -447,7 +453,7 @@ def numerov_integrate(model, E, grid=None):
     return _shoot(model, E, grid)
 
 
-def eigenvalue_search(model, k, tol=1e-8, grid=None):
+def eigenvalue_search(model, k, tol=TOL, grid=None):
     """k-th eigenvalue (k interior nodes), to width tol * model.energy_scale.
 
     ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
@@ -467,8 +473,8 @@ def eigenvalue_search(model, k, tol=1e-8, grid=None):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if tol < 1e-10:
-        raise ValueError("tol must be >= 1e-10")
+    if tol < MIN_TOL:
+        raise ValueError(f"tol must be >= {MIN_TOL:g}")
     if grid is None:
         grid = default_grid(model)
     setup = _setup(model, grid)
@@ -499,10 +505,12 @@ def wavefunction(model, E, grid=None):
 
 @dataclass(frozen=True, eq=False)
 class _Probe:
-    """What every exponent probe on one (model, grid) shares: V on the points
-    from the probed wall to the end of the fit window, the leading-power
-    launch, the window's mask over those points and its distances s."""
+    """What every exponent probe on one model shares: its grid, V on the
+    points from the probed wall to the end of the fit window, the
+    leading-power launch, the window's mask over those points and its
+    distances s."""
 
+    grid: ShootingGrid
     V: np.ndarray
     start: np.ndarray
     window: np.ndarray
@@ -510,21 +518,22 @@ class _Probe:
 
 
 @functools.lru_cache(maxsize=1)
-def _probe(model, grid):
+def _probe(model):
+    """The exponent probe of one model, on its own PROBE_GRID_SIZE grid; one
+    entry, so the probes of one spectrum share it."""
+    grid = default_grid(model, PROBE_GRID_SIZE)
     scale = model.length_scale
     step = 1 if model.walls == (INVERSE_SQUARE, DIRICHLET) else -1
     xs, wall = grid.points[::step], model.walls[::step][0]  # from the probed end inward
     s = np.abs(xs - (xs[0] - step * grid.eps))  # distance from the wall
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
-    if np.count_nonzero(window) < 20:
-        raise FitFailure(f"only {np.count_nonzero(window)} points in the fit window")
     stop = int(np.flatnonzero(window)[-1]) + 1
     xs = np.ascontiguousarray(xs[:stop])
     start = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
-    return _Probe(evaluate_potential(model, xs), start, window[:stop], s[window])
+    return _Probe(grid, evaluate_potential(model, xs), start, window[:stop], s[window])
 
 
-def boundary_exponent_probe(model, E, grid=None):
+def boundary_exponent_probe(model, E):
     """Fitted slope of log|psi| vs log s near a wall, at a converged energy.
 
     Fits the window s in [1e-4, 1e-2] * length_scale next to the right end,
@@ -536,14 +545,12 @@ def boundary_exponent_probe(model, E, grid=None):
     wall, the direction in which the regular branch is stable, so the window
     slope is governed by the equation over two decades of s.  The sweep
     starts from the leading power s^{3/2} alone, not the wall series, so the
-    exponent is a result.  The window and the potential on it are memoised
-    per (model, grid).
+    exponent is a result.  The probe runs on its own grid of PROBE_GRID_SIZE
+    points, and the window and the potential on it are memoised per model.
     Expected 3/2 at inverse-square walls, 1 at hard walls.
     """
-    if grid is None:
-        grid = default_grid(model, size=40001)  # dense enough for >= 20 fit points
-    probe = _probe(model, grid)
-    psi = _sweep(probe.start, _numerov_t(model, E, grid, probe.V))
+    probe = _probe(model)
+    psi = _sweep(probe.start, _numerov_t(model, E, probe.grid, probe.V))
     a = np.abs(psi[probe.window])
     good = a > 0
     if np.count_nonzero(good) < 20:

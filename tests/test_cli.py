@@ -15,7 +15,7 @@ from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import AqBox
 from boxaffine.ritz import NotPositiveDefinite
 from boxaffine.shooting import (BracketFailure, boundary_exponent_probe, default_grid,
-                                numerov_integrate)
+                                eigenvalue_search, numerov_integrate)
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,26 @@ class TestParseConfig:
     def test_tol_range(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--tol", "1e-12")
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, accepted", [
+        ("--grid-size", "1000", True), ("--grid-size", "999", False),
+        ("--tol", "1e-10", True), ("--tol", "9.9e-11", False)])
+    def test_shooting_limits_match_the_api(self, flag, value, accepted):
+        # the CLI reads its floors from shooting, so the two accept and reject alike
+        try:
+            cli.parse_config(["spectrum", "--model", "aq-box", "--method", "shooting", flag, value])
+            cli_accepts = True
+        except cli.UsageError:
+            cli_accepts = False
+        try:
+            if flag == "--grid-size":
+                default_grid(AqBox(), int(value))
+            else:
+                eigenvalue_search(AqBox(), 0, tol=float(value), grid=default_grid(AqBox(), 1000))
+            api_accepts = True
+        except ValueError:
+            api_accepts = False
+        assert cli_accepts == api_accepts == accepted
 
     @pytest.mark.parametrize("method, expected", [
         ("both", 2), ("rayleigh-ritz", 2), ("shooting", 0)])

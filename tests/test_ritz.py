@@ -54,8 +54,6 @@ class TestAssembly:
 
     def test_unsupported_models(self):
         with pytest.raises(ModelUnsupported):
-            assemble_matrices(HalfHarmonic(1.0))
-        with pytest.raises(ModelUnsupported):
             basis_for(HalfHarmonic(1.0), 8)
 
     def test_basis_must_match_model(self):

@@ -11,9 +11,9 @@ from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsu
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue)
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
-from boxaffine.shooting import (_A0, E_MAX_FACTOR, SERIES_FRAC, BracketFailure, FitFailure,
-                                ShootingGrid, _launch, _newton, _numerov, _numerov_t, _phase, _probe,
-                                _setup, _start, _sweep, _turns,
+from boxaffine.shooting import (_A0, E_MAX_FACTOR, PROBE_GRID_SIZE, SERIES_FRAC, BracketFailure,
+                                ShootingGrid, _end, _End, _launch, _newton, _numerov, _numerov_t,
+                                _phase, _probe, _setup, _start, _sweep, _turns,
                                 boundary_exponent_probe, count_nodes, default_grid,
                                 eigenvalue_search, numerov_integrate, wavefunction)
 
@@ -226,12 +226,14 @@ def _two_sided_phase(setup, E):
     # takes it, written out from its definition: n_L + n_R + (phi_L + phi_R)
     # / pi with phi_L = atan2(psi_L, psi_L'/k) mod pi and phi_R =
     # atan2(psi_R, -psi_R'/k) mod pi at the match point, and its rate from
-    # the Wronskian identity; the reference the mirrored form must reproduce
+    # the Wronskian identity; the reference the mirrored form must reproduce.
+    # A box's setup holds no right end, so the reference builds its own.
     m, model = setup.match, setup.model
     T = _numerov_t(model, E, setup.grid, setup.V)
     psi_l = _sweep(_start(setup, setup.left, E), T[:m + 2])
     right = np.ascontiguousarray(T[::-1][:T.size - m + 1])
-    psi_r = _sweep(_start(setup, setup.right, E), right)[::-1]  # psi_r[j] is at xs[m - 1 + j]
+    right_end = _end(model, model.walls[1], ((setup.xs[-1] - setup.xs) + setup.grid.eps)[::-1])
+    psi_r = _sweep(_start(setup, right_end, E), right)[::-1]  # psi_r[j] is at xs[m - 1 + j]
     h = setup.grid.spacing
     k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
 
@@ -492,33 +494,34 @@ class TestBoundaryExponent:
         model = HalfHarmonic(1.0)
         assert boundary_exponent_probe(model, 2.0) == pytest.approx(1.5, abs=0.01)
 
-    def test_fit_failure_on_coarse_grid(self):
-        model = HalfHarmonic(1.0)
-        with pytest.raises(FitFailure):
-            boundary_exponent_probe(model, 2.0, default_grid(model, 1001))
+    @pytest.mark.parametrize("b, hbar", [(1.0, 1.0), (1e-40, 1e-40), (1e-3, 1.0), (3.7, 20.0),
+                                         (1e45, 1e45)])
+    def test_fit_window_holds_enough_points(self, b, hbar):
+        # the probe's own grid puts at least 20 points in the fit window of
+        # every model, at every scale
+        for model in (CqBox(BoxGeometry(b, hbar)), AqBox(BoxGeometry(b, hbar)), HalfHarmonic(hbar)):
+            assert np.count_nonzero(_probe(model).window) >= 20
 
     @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
     def test_wall_sweep_matches_full_grid_fit(self, model):
         # the probe sweeps only from the wall across the fit window; the slope
         # must be the one fitted on a leading-power sweep over the whole grid
-        grid = default_grid(model, 40001)
+        grid = default_grid(model, PROBE_GRID_SIZE)
         for k in (0, 1, 5):
             e = eigenvalue_search(model, k, tol=1e-9, grid=default_grid(model, 20001))
             assert boundary_exponent_probe(model, e) == pytest.approx(
                 _exponent_reference(model, e, grid), abs=1e-12)
 
     def test_memoised_window_is_bit_identical(self):
-        # the window and the potential on it are built once per (model, grid);
-        # the slopes must equal those of the construction over the full grid,
-        # also when probes on different grids alternate
-        grids = {model: [default_grid(model, 40001), default_grid(model, 60001)]
-                 for model in (CQ, AQ, HalfHarmonic(0.37))}
-        for model, pair in grids.items():
-            for E in (0.7, 2.0, 4.6, 14.4, 48.8):
-                for grid in pair + pair[::-1]:
-                    e = E * model.energy_scale
-                    got = boundary_exponent_probe(model, e, grid)
-                    assert got == _probe_full_grid(model, e, grid)
+        # the window and the potential on it are built once per model; the
+        # slopes must equal those of the construction over the full grid,
+        # also when probes on different models alternate
+        models = (CQ, AQ, HalfHarmonic(0.37))
+        for E in (0.7, 2.0, 4.6, 14.4, 48.8):
+            for model in models + models[::-1]:
+                e = E * model.energy_scale
+                got = boundary_exponent_probe(model, e)
+                assert got == _probe_full_grid(model, e, default_grid(model, PROBE_GRID_SIZE))
 
 
 def _exponent_reference(model, E, grid):
@@ -593,6 +596,16 @@ class TestWallSeries:
         if model.walls[1] == shooting.DIRICHLET:
             assert setup.right.powers is None and setup.right.base.size == 2
 
+    @MODELS
+    def test_right_end_only_where_read(self, model):
+        # a box takes its right branch from the left sweep reflected, so only
+        # the half line builds the right end
+        setup = _setup(model, default_grid(model, 4001))
+        if model.symmetric:
+            assert setup.right is None
+        else:
+            assert isinstance(setup.right, _End)
+
 
     @pytest.mark.parametrize("model", [AQ, HalfHarmonic(0.37)], ids=["aq-box", "half-ho"])
     def test_start_is_bit_identical_to_a_fresh_solve(self, model):
@@ -604,7 +617,7 @@ class TestWallSeries:
         recurrence = shooting._recurrence(model.wall_series)
         for E in np.random.default_rng(7).uniform(0.0, E_MAX_FACTOR, 50) * model.energy_scale:
             for end in (setup.left, setup.right):
-                if end.powers is None:
+                if end is None or end.powers is None:
                     continue
                 system = recurrence.copy(order="F")
                 n = np.arange(2, recurrence.shape[0])  # -w_2 sits at (n, n - 2)
@@ -810,9 +823,8 @@ def test_kernel_workspace_is_bit_identical(monkeypatch):
         stop = max(m, size - 1 - m) + 2 if half else size
         E = 0.5 * sum(_levels(model, 5)[3:5])
         sweeps.append((_numerov_t(model, E, grid, setup.V)[:stop], _start(setup, setup.left, E)))
-    grid = default_grid(AQ, 40001)
-    probe = _probe(AQ, grid)
-    sweeps.append((_numerov_t(AQ, 4.6, grid, probe.V), probe.start))
+    probe = _probe(AQ)
+    sweeps.append((_numerov_t(AQ, 4.6, probe.grid, probe.V), probe.start))
     assert [T.size for T, _ in sweeps[:2]] == [40001, 1001]
 
     def preset(T, start):
