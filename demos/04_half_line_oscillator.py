@@ -10,15 +10,14 @@ inverse-square wall.
 
 import numpy as np
 
-from boxaffine import (HalfHarmonic, boundary_exponent_probe, default_grid, eigenvalue_search,
+from boxaffine import (HalfHarmonic, boundary_exponent_probe, eigenvalue_search,
                        half_ho_eigenfunction, half_ho_eigenvalue, wavefunction)
 
 print(f"{'hbar':>6} {'k':>3} {'exact':>14} {'shooting':>16} {'rel err':>12}")
 for hbar in (0.5, 1.0, 2.0):
     model = HalfHarmonic(hbar)
-    grid = default_grid(model, 20001)
     for k in range(5):
-        e = eigenvalue_search(model, k, tol=1e-9, grid=grid)
+        e = eigenvalue_search(model, k, tol=1e-9, grid_size=20001)
         exact = half_ho_eigenvalue(k, hbar)
         print(f"{hbar:>6} {k:>3} {exact:14.6f} {e:16.10f} {abs(e - exact) / exact:12.2e}")
 print()

@@ -8,8 +8,8 @@ for the box with inverse-square walls, the half-line oscillator benchmark,
 and the flat Dirichlet box.
 """
 
-from .boxmodes import (BoxGeometry, TrigMode, classify_trig_modes, cq_eigenfunction,
-                       cq_eigenfunction_extended, cq_eigenvalue)
+from .boxmodes import (BoxGeometry, TrigMode, classify_trig_modes, cq_eigenfunction_extended,
+                       cq_eigenvalue)
 from .piecewise import (DeltaTerm, Piece, PiecewiseSmooth, WeakDerivative,
                         discrete_second_derivative_norm, flat_ramp, l2_norm_squared,
                         weak_derivative, weak_second_derivative)
@@ -20,14 +20,14 @@ from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, anti_box_potential
 from .quadrature import QuadratureRule, gauss_legendre, laguerre_eval
 from .ritz import (BasisSpec, GeneralizedEigProblem, SpectrumResult, assemble_matrices,
                    compute_spectrum, convergence_sweep, solve_generalized_symmetric)
-from .shooting import (MatchResult, ShootingGrid, boundary_exponent_probe, default_grid,
-                       eigenvalue_search, numerov_integrate, wavefunction)
+from .shooting import (MatchResult, boundary_exponent_probe, eigenvalue_search,
+                       numerov_integrate, wavefunction)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxGeometry", "TrigMode", "classify_trig_modes", "cq_eigenfunction",
-    "cq_eigenfunction_extended", "cq_eigenvalue",
+    "BoxGeometry", "TrigMode", "classify_trig_modes", "cq_eigenfunction_extended",
+    "cq_eigenvalue",
     "Piece", "PiecewiseSmooth", "DeltaTerm", "WeakDerivative", "weak_derivative",
     "weak_second_derivative", "l2_norm_squared", "discrete_second_derivative_norm",
     "flat_ramp",
@@ -38,6 +38,6 @@ __all__ = [
     "QuadratureRule", "gauss_legendre", "laguerre_eval",
     "BasisSpec", "GeneralizedEigProblem", "SpectrumResult", "assemble_matrices",
     "solve_generalized_symmetric", "compute_spectrum", "convergence_sweep",
-    "ShootingGrid", "MatchResult", "default_grid", "numerov_integrate",
-    "eigenvalue_search", "boundary_exponent_probe", "wavefunction",
+    "MatchResult", "numerov_integrate", "eigenvalue_search", "boundary_exponent_probe",
+    "wavefunction",
 ]

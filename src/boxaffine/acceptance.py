@@ -56,10 +56,9 @@ def criterion_1_cq_spectrum():
     geom = BoxGeometry(1.0, 1.0)
     model = CqBox(geom)
     spec = ritz.compute_spectrum(model, 32, n_diagnostics=8)
-    grid = shooting.default_grid(model, 20001)
     rr_err = max(abs(spec.eigenvalues[n - 1] - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
                  for n in range(1, 9))
-    sh_err = max(abs(shooting.eigenvalue_search(model, n - 1, tol=1e-8, grid=grid)
+    sh_err = max(abs(shooting.eigenvalue_search(model, n - 1, tol=1e-8, grid_size=20001)
                      - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
                  for n in range(1, 9))
     return (rr_err <= 1e-8 and sh_err <= 1e-6,
@@ -109,9 +108,8 @@ def criterion_5_half_harmonic():
     exponents = []
     for hbar in (0.5, 1.0, 2.0):
         model = HalfHarmonic(hbar)
-        grid = shooting.default_grid(model, 20001)
         for k in range(5):
-            e = shooting.eigenvalue_search(model, k, tol=1e-8, grid=grid)
+            e = shooting.eigenvalue_search(model, k, tol=1e-8, grid_size=20001)
             exact = half_ho_eigenvalue(k, hbar)
             worst = max(worst, abs(e - exact) / exact)
         exponents.append(shooting.boundary_exponent_probe(model, half_ho_eigenvalue(0, hbar)))
@@ -128,16 +126,15 @@ def criterion_6_aq_box_cross_method():
     monotone = bool(np.all(np.diff(sweep.energies, axis=0) <= 1e-12))
     final_change = float(np.max(sweep.final_change))
     spec = ritz.compute_spectrum(model, 48, n_diagnostics=6)
-    grid = shooting.default_grid(model, 40001)
     worst = 0.0
     structure_ok = True
     for k in range(6):
-        e_sh = shooting.eigenvalue_search(model, k, tol=1e-9, grid=grid)
+        e_sh = shooting.eigenvalue_search(model, k, tol=1e-9, grid_size=40001)
         worst = max(worst, abs(e_sh - spec.eigenvalues[k]) / spec.eigenvalues[k])
         diag = spec.levels[k]
         structure_ok &= diag.parity == ("even" if k % 2 == 0 else "odd")
         structure_ok &= diag.node_count == k
-        structure_ok &= shooting.numerov_integrate(model, e_sh, grid).node_count == k
+        structure_ok &= shooting.numerov_integrate(model, e_sh, 40001).node_count == k
     return (worst <= 1e-6 and monotone and final_change <= 1e-8 and structure_ok,
             f"max rel delta {worst:.2e} (<=1e-6), monotone {monotone}, final change "
             f"{final_change:.2e} (<=1e-8), parity/nodes {structure_ok}")

@@ -3,7 +3,8 @@
 Modes are the unnormalized trig functions cos(n pi x / 2b) for odd n and
 sin(n pi x / 2b) for even n; energies are hbar^2 n^2 pi^2 / 4 b^2.  Only the
 modes that vanish at both walls survive the Dirichlet condition, which is half
-of the full cos/sin family at each n.
+of the full cos/sin family at each n.  The node counter both solvers use lives
+here too, so that neither solver imports the other.
 """
 
 import math
@@ -38,20 +39,6 @@ class TrigMode:
             raise ValueError("n must be >= 1")
         if self.kind not in ("cosine", "sine"):
             raise ValueError("kind must be 'cosine' or 'sine'")
-
-
-def cq_eigenfunction(n, x, geom=BoxGeometry()):
-    """Unnormalized n-th box mode, exactly zero for |x| >= b.
-
-    cos(n pi x / 2b) for odd n, sin(n pi x / 2b) for even n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = np.asarray(x, dtype=float)
-    arg = n * np.pi * x / (2.0 * geom.b)
-    trig = np.cos(arg) if n % 2 else np.sin(arg)
-    out = np.where(np.abs(x) < geom.b, trig, 0.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def cq_eigenvalue(n, geom=BoxGeometry()):
@@ -109,3 +96,16 @@ def cq_eigenfunction_extended(n, geom=BoxGeometry()):
         Piece(-b, b, f, df, d2f),
         Piece(b, 2.0 * b, zero, zero, zero),
     ))
+
+
+def count_nodes(psi):
+    """Sign changes in sampled values, zeros skipped.
+
+    The one sign-change diagnostic both solvers share: shooting counts the
+    nodes of each branch for its counting phase and those of its final shot,
+    Ritz those of its sampled eigenfunctions.  The eigenvalues stay each
+    solver's own.
+    """
+    signs = np.sign(psi)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))

@@ -386,17 +386,16 @@ def run_spectrum(cfg):
     sh_energies = None
     if method in ("shooting", "both"):
         t0 = time.perf_counter()
-        grid = shooting.default_grid(model, cfg.grid_size)
         if cfg.dump_psi:
             os.makedirs(cfg.dump_psi, exist_ok=True)
         sh_energies, sh_levels = [], []
         for k in range(cfg.levels):
-            energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid=grid)
+            energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid_size=cfg.grid_size)
             sh_energies.append(energy)
             # a final shot only where it is read: levels without Ritz, or --dump-psi
             if rr is not None and not cfg.dump_psi:
                 continue
-            shot = shooting.numerov_integrate(model, energy, grid)
+            shot = shooting.numerov_integrate(model, energy, cfg.grid_size)
             if rr is None:
                 sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
                                                shooting.boundary_exponent_probe(model, energy)))

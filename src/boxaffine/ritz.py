@@ -16,9 +16,8 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg
 
-from .boxmodes import BoxGeometry
+from .boxmodes import BoxGeometry, count_nodes
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported
-from .shooting import count_nodes
 
 MAX_BASIS = 64
 

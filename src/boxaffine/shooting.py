@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import dtbtrs, dtrtrs
 
+from .boxmodes import count_nodes
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
 
 
@@ -42,33 +43,6 @@ class BracketFailure(RuntimeError):
 
 class FitFailure(RuntimeError):
     """The wavefunction vanishes inside the boundary-exponent fit window."""
-
-
-@dataclass(frozen=True)
-class ShootingGrid:
-    """Uniform grid between the integration ends, with the wall offset used
-    to place them."""
-
-    x_min: float
-    x_max: float
-    size: int
-    eps: float
-
-    def __post_init__(self):
-        if self.size < MIN_GRID_SIZE:
-            raise ValueError(f"grid needs at least {MIN_GRID_SIZE} points")
-        if not self.x_min < self.x_max:
-            raise ValueError("x_min must be < x_max")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-
-    @property
-    def spacing(self):
-        return (self.x_max - self.x_min) / (self.size - 1)
-
-    @property
-    def points(self):
-        return np.linspace(self.x_min, self.x_max, self.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +63,7 @@ class MatchResult:
 
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
 GRID_SIZE = 4001  # default grid points, of the API and of the CLI's --grid-size
-MIN_GRID_SIZE = 1000  # fewest grid points, of ShootingGrid and of --grid-size
+MIN_GRID_SIZE = 1000  # fewest grid points, of the API and of --grid-size
 TOL = 1e-8  # default search width, of eigenvalue_search and of the CLI's --tol
 MIN_TOL = 1e-10  # narrowest search width, of eigenvalue_search and of --tol
 PROBE_GRID_SIZE = 40001  # boundary_exponent_probe's grid: ~200 fit points on a box, 33 on half-ho
@@ -103,19 +77,23 @@ _A0 = np.zeros(_SERIES_TERMS)
 _A0[0] = 1.0
 
 
-def default_grid(model, size=GRID_SIZE):
-    """Integration grid over the model's declared ends.
+def _grid(model, size):
+    """Points, spacing and wall offset eps of the uniform ``size``-point grid
+    over the model's declared ends.
 
     An inverse-square wall is offset inward by eps = EPS_FRAC * length_scale;
-    a Dirichlet end is a grid point.
+    a Dirichlet end is a grid point.  eps is 0 on a model without an
+    inverse-square wall.
     """
     if not model.walls:
         raise ModelUnsupported(f"{type(model).__name__} has no shooting support")
-    eps = EPS_FRAC * model.length_scale
+    if size < MIN_GRID_SIZE:
+        raise ValueError(f"grid needs at least {MIN_GRID_SIZE} points")
+    eps = EPS_FRAC * model.length_scale if INVERSE_SQUARE in model.walls else 0.0
     (lo, hi), (lo_wall, hi_wall) = model.ends, model.walls
-    return ShootingGrid(lo + eps if lo_wall == INVERSE_SQUARE else lo,
-                        hi - eps if hi_wall == INVERSE_SQUARE else hi, size,
-                        eps if INVERSE_SQUARE in model.walls else 0.0)
+    lo = lo + eps if lo_wall == INVERSE_SQUARE else lo
+    hi = hi - eps if hi_wall == INVERSE_SQUARE else hi
+    return np.linspace(lo, hi, size), (hi - lo) / (size - 1), eps
 
 
 _RESCALE_EVERY = 512  # Numerov steps between overflow checks
@@ -185,19 +163,6 @@ def _numerov(T, psi, i0):
     return psi
 
 
-def count_nodes(psi):
-    """Sign changes in sampled values, zeros skipped.
-
-    The one sign-change diagnostic both solvers share: shooting counts the
-    nodes of each branch for its counting phase and those of its final shot,
-    Ritz those of its sampled eigenfunctions.  The eigenvalues stay each
-    solver's own.
-    """
-    signs = np.sign(psi)
-    signs = signs[signs != 0]
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
-
-
 def _launch(wall, s_values):
     """Initial psi values at one end, from the distances s of the grid points
     to its wall, nearest first; the recurrence starts at the last of them.
@@ -213,15 +178,15 @@ def _launch(wall, s_values):
     return np.array([0.0, s_values[1] - s_values[0]])
 
 
-def _numerov_t(model, E, grid, V):
-    """T_i = h^2 g_i / 12 at trial energy E, g = (V - E) / kappa."""
-    h = grid.spacing
+def _numerov_t(model, E, h, V):
+    """T_i = h^2 g_i / 12 at trial energy E, g = (V - E) / kappa, on a grid
+    of spacing h."""
     return (h * h / 12.0) * ((V - E) / model.kappa)
 
 
 @dataclass(frozen=True, eq=False)
 class _End:
-    """How sweeps from one end start, fixed per (model, grid).
+    """How sweeps from one end start, fixed per (model, grid_size).
 
     ``base`` holds the start values at a Dirichlet end.  At an inverse-square
     wall it holds s^{3/2} on the planted points, ``powers`` the powers u^n of
@@ -273,14 +238,15 @@ def _recurrence(wall_series):
 
 @dataclass(frozen=True, eq=False)
 class _Setup:
-    """What every shot on one (model, grid) shares.  ``right`` is None on a
-    mirror-symmetric model, whose right branch is the left one reflected.
-    ``phases`` memoises the counting phase and its energy derivative
-    (``_phase``) by trial energy, a pure function of (model, grid, E)."""
+    """What every shot on one (model, grid_size) shares: the grid points xs
+    and their spacing h.  ``right`` is None on a mirror-symmetric model,
+    whose right branch is the left one reflected.  ``phases`` memoises the
+    counting phase and its energy derivative (``_phase``) by trial energy,
+    a pure function of (model, grid_size, E)."""
 
     model: object
-    grid: ShootingGrid
     xs: np.ndarray
+    h: float
     V: np.ndarray
     match: int
     left: _End
@@ -289,10 +255,10 @@ class _Setup:
 
 
 @functools.lru_cache(maxsize=1)
-def _setup(model, grid):
+def _setup(model, grid_size):
     # one entry: the levels of one spectrum share it, and the first shot on
-    # another (model, grid) drops it
-    xs = grid.points
+    # another (model, grid_size) drops it
+    xs, h, eps = _grid(model, grid_size)
     V = evaluate_potential(model, xs)
     xs.flags.writeable = False
     V.flags.writeable = False
@@ -300,10 +266,9 @@ def _setup(model, grid):
     # match at the centre of a mirror-symmetric model, else at the V minimum
     m = int(np.argmin(np.abs(xs))) if model.symmetric else int(np.argmin(V))
     m = min(max(m, 3), n - 4)
-    left = _end(model, model.walls[0], xs - xs[0] + grid.eps)
-    right = None if model.symmetric else _end(model, model.walls[1],
-                                               ((xs[-1] - xs) + grid.eps)[::-1])
-    return _Setup(model, grid, xs, V, m, left, right, {})
+    left = _end(model, model.walls[0], xs - xs[0] + eps)
+    right = None if model.symmetric else _end(model, model.walls[1], ((xs[-1] - xs) + eps)[::-1])
+    return _Setup(model, xs, h, V, m, left, right, {})
 
 
 def _start(setup, end, E):
@@ -339,11 +304,11 @@ def _branches(setup, E):
     ms = setup.xs.size - 1 - m
     k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
     if model.symmetric:
-        T = _numerov_t(model, E, setup.grid, setup.V[:max(m, ms) + 2])
+        T = _numerov_t(model, E, setup.h, setup.V[:max(m, ms) + 2])
         left = (_sweep(_start(setup, setup.left, E), T), T, m)
         # on an odd grid m* = m, the centre, and the right branch is the left one
         return left, left if ms == m else (left[0], T, ms), k
-    T = _numerov_t(model, E, setup.grid, setup.V)
+    T = _numerov_t(model, E, setup.h, setup.V)
     T_left, T_right = T[:m + 2], np.ascontiguousarray(T[::-1][:ms + 2])
     return ((_sweep(_start(setup, setup.left, E), T_left), T_left, m),
             (_sweep(_start(setup, setup.right, E), T_right), T_right, ms), k)
@@ -376,7 +341,7 @@ def _turns(psi, T, i, hk):
 
 
 def _phase(setup, E):
-    """Counting phase Theta(E) and dTheta/dE, memoised per (model, grid).
+    """Counting phase Theta(E) and dTheta/dE, memoised per (model, grid_size).
 
     Theta = n_L + n_R + (phi_L + phi_R) / pi is the sum of the two branches'
     Pruefer angles at the match point m, each counted from its own wall
@@ -391,7 +356,7 @@ def _phase(setup, E):
     """
     if E not in setup.phases:
         left, right, k = _branches(setup, E)
-        h = setup.grid.spacing
+        h = setup.h
         turns_l = _turns(*left, h * k)
         turns_r = turns_l if right is left else _turns(*right, h * k)
         setup.phases[E] = (turns_l[0] + turns_r[0],
@@ -426,15 +391,15 @@ def _newton(f, target, lo, hi, f_lo, f_hi, width):
         E = new if lo < new < hi else 0.5 * (lo + hi)
 
 
-def _shoot(model, E, grid):
+def _shoot(model, E, grid_size):
     """Two-sided shot at E from the branches of ``_branches``.  The right
     branch is scaled by the alpha that fits alpha times its Pruefer vector at
     the match point m to the left one's in least squares, and the two are
     joined at m.  On a mirror-symmetric model alpha is +-1 up to the search
     width, and its sign is the parity."""
-    setup = _setup(model, grid)
+    setup = _setup(model, grid_size)
     (psi_l, T_l, m), (psi_r, T_r, ms), k = _branches(setup, E)
-    hk = grid.spacing * k
+    hk = setup.h * k
     value_l, slope_l = _pruefer(psi_l, T_l, m, hk)
     value_r, slope_r = _pruefer(psi_r, T_r, ms, hk)
     # the right slope is along its own sweep, the negative of psi'/k in x
@@ -445,23 +410,24 @@ def _shoot(model, E, grid):
     return MatchResult(E, count_nodes(psi), parity, setup.xs, psi)
 
 
-def numerov_integrate(model, E, grid=None):
-    """Two-sided shot at trial energy E: the node count, parity and
-    max-normalised values of the assembled solution."""
-    if grid is None:
-        grid = default_grid(model)
-    return _shoot(model, E, grid)
+def numerov_integrate(model, E, grid_size=GRID_SIZE):
+    """Two-sided shot at trial energy E on a grid of ``grid_size`` points:
+    the node count, parity and max-normalised values of the assembled
+    solution."""
+    return _shoot(model, E, grid_size)
 
 
-def eigenvalue_search(model, k, tol=TOL, grid=None):
-    """k-th eigenvalue (k interior nodes), to width tol * model.energy_scale.
+def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
+    """k-th eigenvalue (k interior nodes), to width tol * model.energy_scale,
+    on a grid of ``grid_size`` points over the model's declared ends.
 
     ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
     and hbar for the half-line oscillator, so every scale is resolved alike.
     Level k is the root of Theta(E) = k + 1, with Theta the continuous
     counting phase of ``_phase``.  A doubling scan from the energy scale
-    finds the first point where Theta >= k + 1; its probes are memoised per
-    (model, grid), so the levels of one spectrum share them.  Newton steps
+    finds the first point where Theta >= k + 1, its last probe the ceiling
+    E_MAX_FACTOR * energy_scale itself; its probes are memoised per
+    (model, grid_size), so the levels of one spectrum share them.  Newton steps
     in sqrt(E) on Theta then start from the linear interpolant between that
     point and the one before it (``_newton``), bisecting whenever a step
     would leave the bracket that this level's own values of Theta narrow.
@@ -475,9 +441,7 @@ def eigenvalue_search(model, k, tol=TOL, grid=None):
         raise ValueError("k must be >= 0")
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL:g}")
-    if grid is None:
-        grid = default_grid(model)
-    setup = _setup(model, grid)
+    setup = _setup(model, grid_size)
     scale = model.energy_scale
     e_max = E_MAX_FACTOR * scale
     target = k + 1
@@ -485,32 +449,30 @@ def eigenvalue_search(model, k, tol=TOL, grid=None):
     lo, hi = 0.0, scale
     theta_lo, theta_hi = 0.0, _phase(setup, hi)[0]  # Theta >= 0, and lo = 0 lies below every level
     while theta_hi < target:
-        lo, theta_lo = hi, theta_hi
-        hi = 2.0 * hi
-        if hi > e_max:
+        if hi >= e_max:
             raise BracketFailure(
                 f"level {k}: node transition not found below {e_max:.3g} "
                 f"(upper side reached the ceiling)")
+        lo, theta_lo = hi, theta_hi
+        hi = min(2.0 * hi, e_max)
         theta_hi = _phase(setup, hi)[0]
     return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi, tol * scale)
 
 
-def wavefunction(model, E, grid=None):
+def wavefunction(model, E, grid_size=GRID_SIZE):
     """Assembled two-sided solution at E, max-normalized; (xs, psi)."""
-    if grid is None:
-        grid = default_grid(model)
-    shot = _shoot(model, E, grid)
+    shot = _shoot(model, E, grid_size)
     return shot.xs, shot.psi
 
 
 @dataclass(frozen=True, eq=False)
 class _Probe:
-    """What every exponent probe on one model shares: its grid, V on the
-    points from the probed wall to the end of the fit window, the
+    """What every exponent probe on one model shares: its grid spacing h, V
+    on the points from the probed wall to the end of the fit window, the
     leading-power launch, the window's mask over those points and its
     distances s."""
 
-    grid: ShootingGrid
+    h: float
     V: np.ndarray
     start: np.ndarray
     window: np.ndarray
@@ -521,16 +483,16 @@ class _Probe:
 def _probe(model):
     """The exponent probe of one model, on its own PROBE_GRID_SIZE grid; one
     entry, so the probes of one spectrum share it."""
-    grid = default_grid(model, PROBE_GRID_SIZE)
+    xs, h, eps = _grid(model, PROBE_GRID_SIZE)
     scale = model.length_scale
     step = 1 if model.walls == (INVERSE_SQUARE, DIRICHLET) else -1
-    xs, wall = grid.points[::step], model.walls[::step][0]  # from the probed end inward
-    s = np.abs(xs - (xs[0] - step * grid.eps))  # distance from the wall
+    xs, wall = xs[::step], model.walls[::step][0]  # from the probed end inward
+    s = np.abs(xs - (xs[0] - step * eps))  # distance from the wall
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     stop = int(np.flatnonzero(window)[-1]) + 1
     xs = np.ascontiguousarray(xs[:stop])
-    start = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
-    return _Probe(grid, evaluate_potential(model, xs), start, window[:stop], s[window])
+    start = _launch(wall, np.abs(xs - xs[0]) + eps)
+    return _Probe(h, evaluate_potential(model, xs), start, window[:stop], s[window])
 
 
 def boundary_exponent_probe(model, E):
@@ -550,7 +512,7 @@ def boundary_exponent_probe(model, E):
     Expected 3/2 at inverse-square walls, 1 at hard walls.
     """
     probe = _probe(model)
-    psi = _sweep(probe.start, _numerov_t(model, E, probe.grid, probe.V))
+    psi = _sweep(probe.start, _numerov_t(model, E, probe.h, probe.V))
     a = np.abs(psi[probe.window])
     good = a > 0
     if np.count_nonzero(good) < 20:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from boxaffine.boxmodes import (BoxGeometry, classify_trig_modes, cq_eigenfunction,
-                                cq_eigenfunction_extended, cq_eigenvalue)
+from boxaffine.boxmodes import (BoxGeometry, classify_trig_modes, cq_eigenfunction_extended,
+                                cq_eigenvalue)
 from boxaffine.piecewise import l2_norm_squared, weak_second_derivative
 from boxaffine.quadrature import gauss_legendre
 
@@ -13,34 +13,35 @@ GEOM = BoxGeometry(1.0, 1.0)
 
 class TestEigenfunction:
     def test_ground_mode_center_value(self):
-        assert cq_eigenfunction(1, 0.0, GEOM) == 1.0
+        assert cq_eigenfunction_extended(1, GEOM)(0.0) == 1.0
 
     def test_sine_mode_vanishes_at_wall(self):
-        assert cq_eigenfunction(2, 1.0, GEOM) == 0.0
+        assert cq_eigenfunction_extended(2, GEOM)(1.0) == 0.0
 
     def test_exactly_zero_outside(self):
-        assert cq_eigenfunction(1, 1.5, GEOM) == 0.0
-        assert np.all(cq_eigenfunction(3, np.array([-2.0, 1.0, 7.0]), GEOM) == 0.0)
+        assert cq_eigenfunction_extended(1, GEOM)(1.5) == 0.0
+        assert np.all(cq_eigenfunction_extended(3, GEOM)(np.array([-2.0, 1.0, 7.0])) == 0.0)
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_dirichlet_walls(self, n):
-        assert abs(cq_eigenfunction(n, GEOM.b, GEOM)) < 1e-14
-        assert abs(cq_eigenfunction(n, -GEOM.b, GEOM)) < 1e-14
+        assert abs(cq_eigenfunction_extended(n, GEOM)(GEOM.b)) < 1e-14
+        assert abs(cq_eigenfunction_extended(n, GEOM)(-GEOM.b)) < 1e-14
 
     def test_orthogonality(self):
         rule = gauss_legendre(200)
         for m in range(1, 13):
             for n in range(m + 1, 13):
-                val = rule.integrate(lambda x: cq_eigenfunction(m, x, GEOM)
-                                     * cq_eigenfunction(n, x, GEOM), -GEOM.b, GEOM.b)
+                phi_m, phi_n = cq_eigenfunction_extended(m, GEOM), cq_eigenfunction_extended(n, GEOM)
+                val = rule.integrate(lambda x: phi_m(x) * phi_n(x), -GEOM.b, GEOM.b)
                 assert abs(val) < 1e-10
 
     def test_interior_eigen_residual(self):
         xs = np.linspace(-0.999, 0.999, 1000)
         for n in (1, 2, 7):
             k = n * math.pi / 2
-            d2 = -k * k * cq_eigenfunction(n, xs, GEOM)  # analytic second derivative
-            resid = -GEOM.hbar**2 * d2 - cq_eigenvalue(n, GEOM) * cq_eigenfunction(n, xs, GEOM)
+            phi = cq_eigenfunction_extended(n, GEOM)(xs)
+            d2 = -k * k * phi  # analytic second derivative
+            resid = -GEOM.hbar**2 * d2 - cq_eigenvalue(n, GEOM) * phi
             assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -64,7 +65,7 @@ class TestNormSquared:
         # the squared L^2 norm over (-b, b) is b for every mode
         geom = BoxGeometry(b, 1.0)
         rule = gauss_legendre(128)
-        val = rule.integrate(lambda x: cq_eigenfunction(n, x, geom) ** 2, -b, b)
+        val = rule.integrate(lambda x: cq_eigenfunction_extended(n, geom)(x) ** 2, -b, b)
         assert val == pytest.approx(expected, rel=1e-12)
 
 
@@ -114,4 +115,4 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             cq_eigenvalue(0, GEOM)
         with pytest.raises(ValueError):
-            cq_eigenfunction(0, 0.0, GEOM)
+            cq_eigenfunction_extended(0, GEOM)

@@ -14,8 +14,8 @@ from boxaffine import cli
 from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import AqBox
 from boxaffine.ritz import NotPositiveDefinite
-from boxaffine.shooting import (BracketFailure, boundary_exponent_probe, default_grid,
-                                eigenvalue_search, numerov_integrate)
+from boxaffine.shooting import (BracketFailure, boundary_exponent_probe, eigenvalue_search,
+                                numerov_integrate)
 
 
 def run_cli(capsys, *argv):
@@ -137,9 +137,9 @@ class TestParseConfig:
             cli_accepts = False
         try:
             if flag == "--grid-size":
-                default_grid(AqBox(), int(value))
+                eigenvalue_search(AqBox(), 0, grid_size=int(value))
             else:
-                eigenvalue_search(AqBox(), 0, tol=float(value), grid=default_grid(AqBox(), 1000))
+                eigenvalue_search(AqBox(), 0, tol=float(value), grid_size=1000)
             api_accepts = True
         except ValueError:
             api_accepts = False
@@ -267,9 +267,8 @@ class TestSpectrum:
         capsys.readouterr()
         assert code == 0
         assert sorted(os.listdir(dest)) == ["psi_0.csv", "psi_1.csv"]
-        grid = default_grid(AqBox(), cli._DEFAULTS["grid-size"])
         for lv in json.loads((tmp_path / "r.json").read_text())["levels"]:
-            shot = numerov_integrate(AqBox(), lv["energy_shooting"], grid)
+            shot = numerov_integrate(AqBox(), lv["energy_shooting"], cli._DEFAULTS["grid-size"])
             rows = "".join(f"{float(x)!r},{float(p)!r}\n" for x, p in zip(shot.xs, shot.psi))
             assert (dest / f"psi_{lv['index']}.csv").read_text() == "x,psi\n" + rows
 
@@ -277,9 +276,8 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--levels", "3",
                                "--method", "shooting")
         assert code == 0
-        grid = default_grid(AqBox(), cli._DEFAULTS["grid-size"])
         for k, lv in enumerate(json.loads(out)["levels"]):
-            shot = numerov_integrate(AqBox(), lv["energy"], grid)
+            shot = numerov_integrate(AqBox(), lv["energy"], cli._DEFAULTS["grid-size"])
             assert (lv["parity"], lv["node_count"]) == (shot.parity, shot.node_count)
             assert (shot.parity, shot.node_count) == (("even", "odd")[k % 2], k)
             assert lv["boundary_exponent"] == boundary_exponent_probe(AqBox(), lv["energy"])
@@ -303,7 +301,7 @@ class TestSpectrum:
 
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.shooting, "eigenvalue_search",
-                            lambda model, k, tol, grid: 999.0 + k)
+                            lambda model, k, tol, grid_size: 999.0 + k)
         code, out, _ = run_cli(capsys, "spectrum", "--model", "aq-box", "--levels", "2",
                                "--method", "both")
         assert code == 3
@@ -382,7 +380,7 @@ class TestEnergyScales:
 
 
 def test_spectrum_run_leaves_scipy_optimize_unloaded():
-    # the search carries its own Brent root finder; importing scipy.optimize
+    # the search carries its own Newton root finder; importing scipy.optimize
     # would add ~0.25 s and ~20 MB to every process, and scipy.special 0.05-0.3 s
     # (Ritz takes its Gamma values from math)
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))

@@ -1,6 +1,8 @@
+import ast
 import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsu
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue)
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
-from boxaffine.shooting import (_A0, E_MAX_FACTOR, PROBE_GRID_SIZE, SERIES_FRAC, BracketFailure,
-                                ShootingGrid, _end, _End, _launch, _newton, _numerov, _numerov_t,
-                                _phase, _probe, _setup, _start, _sweep, _turns,
-                                boundary_exponent_probe, count_nodes, default_grid,
-                                eigenvalue_search, numerov_integrate, wavefunction)
+from boxaffine.boxmodes import count_nodes
+from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, PROBE_GRID_SIZE,
+                                SERIES_FRAC, BracketFailure, _end, _End, _grid, _launch, _newton,
+                                _numerov, _numerov_t, _phase, _probe, _setup, _start, _sweep,
+                                _turns, boundary_exponent_probe, eigenvalue_search,
+                                numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -27,19 +30,17 @@ SIZES = pytest.mark.parametrize("size", [1000, 1001, 4000, 4001, 20001])
 
 class TestNumerovIntegrate:
     def test_flat_box_at_eigenvalue(self):
-        grid = default_grid(CQ, 10001)
-        res = numerov_integrate(CQ, math.pi**2 / 4, grid)
-        assert abs(_phase(_setup(CQ, grid), math.pi**2 / 4)[0] - 1.0) < 1e-6
+        res = numerov_integrate(CQ, math.pi**2 / 4, 10001)
+        assert abs(_phase(_setup(CQ, 10001), math.pi**2 / 4)[0] - 1.0) < 1e-6
         assert res.node_count == 0
 
     def test_flat_box_off_eigenvalue(self):
-        grid = default_grid(CQ, 10001)
-        assert abs(_phase(_setup(CQ, grid), 2.0)[0] - 1.0) > 0.01
+        assert abs(_phase(_setup(CQ, 10001), 2.0)[0] - 1.0) > 0.01
 
     def test_half_harmonic_at_ground(self):
         model = HalfHarmonic(1.0)
         res = numerov_integrate(model, 2.0)
-        assert abs(_phase(_setup(model, default_grid(model)), 2.0)[0] - 1.0) < 1e-6
+        assert abs(_phase(_setup(model, GRID_SIZE), 2.0)[0] - 1.0) < 1e-6
         assert res.node_count == 0
 
     def test_anti_box_unsupported(self):
@@ -47,10 +48,9 @@ class TestNumerovIntegrate:
             numerov_integrate(AntiBox(GEOM), 1.0)
 
     def test_mismatch_finite(self):
-        grid = default_grid(AQ, 2001)
         for e in (0.5, 3.0, 7.7, 30.0):
-            assert all(map(math.isfinite, _phase(_setup(AQ, grid), e)))
-            assert np.all(np.isfinite(numerov_integrate(AQ, e, grid).psi))
+            assert all(map(math.isfinite, _phase(_setup(AQ, 2001), e)))
+            assert np.all(np.isfinite(numerov_integrate(AQ, e, 2001).psi))
 
 
 class TestEigenvalueSearch:
@@ -60,17 +60,15 @@ class TestEigenvalueSearch:
 
     @pytest.mark.parametrize("k", range(4))
     def test_flat_box_levels(self, k):
-        grid = default_grid(CQ, 20001)
-        e = eigenvalue_search(CQ, k, tol=1e-9, grid=grid)
+        e = eigenvalue_search(CQ, k, tol=1e-9, grid_size=20001)
         exact = cq_eigenvalue(k + 1, GEOM)
         assert abs(e - exact) / exact < 1e-6
 
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0, 1e-4])
     def test_half_harmonic_closed_form(self, hbar):
         model = HalfHarmonic(hbar)
-        grid = default_grid(model, 20001)
         for k in range(5):
-            e = eigenvalue_search(model, k, tol=1e-8, grid=grid)
+            e = eigenvalue_search(model, k, tol=1e-8, grid_size=20001)
             exact = half_ho_eigenvalue(k, hbar)
             assert abs(e - exact) / exact < 1e-6
 
@@ -86,15 +84,17 @@ class TestEigenvalueSearch:
 
     @pytest.mark.parametrize("k", range(6))
     def test_node_law(self, k):
-        grid = default_grid(AQ, 20001)
-        e = eigenvalue_search(AQ, k, tol=1e-9, grid=grid)
-        assert numerov_integrate(AQ, e, grid).node_count == k
+        e = eigenvalue_search(AQ, k, tol=1e-9, grid_size=20001)
+        assert numerov_integrate(AQ, e, 20001).node_count == k
 
-    def test_eps_robustness(self):
+    def test_eps_robustness(self, monkeypatch):
+        # the wall offset, in units of the length scale (1 here)
         energies = []
+        _setup.cache_clear()
         for eps in (1e-7, 1e-6, 1e-5, 1e-4):
-            grid = ShootingGrid(-1.0 + eps, 1.0 - eps, 20001, eps)
-            energies.append(eigenvalue_search(AQ, 0, tol=1e-9, grid=grid))
+            monkeypatch.setattr(shooting, "EPS_FRAC", eps)
+            energies.append(eigenvalue_search(AQ, 0, tol=1e-9, grid_size=20001))
+            _setup.cache_clear()
         energies = np.array(energies)
         spread = (energies.max() - energies.min()) / energies.mean()
         assert spread <= 1e-7
@@ -103,8 +103,7 @@ class TestEigenvalueSearch:
         # regular walls: the launch is exact, so the Numerov order shows
         energies = []
         for size in (1001, 2001, 4001):
-            grid = default_grid(CQ, size)
-            energies.append(eigenvalue_search(CQ, 7, tol=1e-10, grid=grid))
+            energies.append(eigenvalue_search(CQ, 7, tol=1e-10, grid_size=size))
         d = np.abs(np.diff(energies))
         order = math.log2(d[0] / d[1])
         assert 3.5 <= order <= 4.5
@@ -115,21 +114,19 @@ class TestEigenvalueSearch:
         for model in (AQ, HalfHarmonic(1.0)):
             energies = []
             for size in (1001, 2001, 4001):
-                grid = default_grid(model, size)
-                energies.append(eigenvalue_search(model, 1, tol=1e-10, grid=grid))
+                energies.append(eigenvalue_search(model, 1, tol=1e-10, grid_size=size))
             d = np.abs(np.diff(energies))
             order = math.log2(d[0] / d[1])
             assert 3.5 <= order <= 4.5
         ref = compute_spectrum(AQ, 48).eigenvalues[1]
-        e_fine = eigenvalue_search(AQ, 1, tol=1e-10, grid=default_grid(AQ, 40001))
+        e_fine = eigenvalue_search(AQ, 1, tol=1e-10, grid_size=40001)
         assert abs(e_fine - ref) / ref < 1e-12
 
     def test_accuracy_at_default_grid(self):
         # the CLI's default grid holds levels 0-11 to these bounds at tol 1e-10
         size = cli._DEFAULTS["grid-size"]
         for model, bound in ((AQ, 5e-11), (CQ, 5e-11), (HalfHarmonic(1.0), 3e-10)):
-            grid = default_grid(model, size)
-            got = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+            got = np.array([eigenvalue_search(model, k, tol=1e-10, grid_size=size) for k in range(12)])
             ref = np.array(_levels(model, 12, basis=64))
             assert np.max(np.abs(got - ref) / ref) <= bound
 
@@ -137,6 +134,16 @@ class TestEigenvalueSearch:
         # level 70 lies at 71^2 pi^2 / 4 ~ 1.24e4, above the 1e4 ceiling
         with pytest.raises(BracketFailure):
             eigenvalue_search(CQ, 70)
+
+    def test_levels_up_to_the_ceiling(self):
+        # the scan's last probe is the ceiling itself, 1e4 energy units: levels
+        # 57-62 (8300-9793 units) lie past its last doubling, 8192, and below
+        # the ceiling, and level 63 (10106 units) lies above it
+        for k in (57, 62):
+            exact = cq_eigenvalue(k + 1, GEOM)
+            assert abs(eigenvalue_search(CQ, k) - exact) / exact <= 1e-7
+        with pytest.raises(BracketFailure):
+            eigenvalue_search(CQ, 63)
 
     def test_tol_floor(self):
         with pytest.raises(ValueError):
@@ -147,22 +154,20 @@ class TestEigenvalueSearch:
         # an absolute width would return bracket midpoints at small scales and
         # could never be met at large ones
         geom = BoxGeometry(b, hbar)
-        grid = default_grid(CqBox(geom), 20001)
         for k in range(3):
-            e = eigenvalue_search(CqBox(geom), k, tol=1e-8, grid=grid)
+            e = eigenvalue_search(CqBox(geom), k, tol=1e-8, grid_size=20001)
             exact = cq_eigenvalue(k + 1, geom)
             assert abs(e - exact) / exact < 1e-6
 
     @pytest.mark.parametrize("model", [CQ, AQ, HalfHarmonic(1.0)], ids=["cq-box", "aq-box", "half-ho"])
     def test_probe_memo_leaves_energies_unchanged(self, model):
-        # node-count probes are shared across the levels of one (model, grid);
-        # a level must come out the same whatever the memo already holds
-        grid = default_grid(model, 20001)
+        # node-count probes are shared across the levels of one (model,
+        # grid_size); a level must come out the same whatever the memo holds
         for k in (3, 6):
             _setup.cache_clear()
-            cold = eigenvalue_search(model, k, tol=1e-9, grid=grid)
+            cold = eigenvalue_search(model, k, tol=1e-9, grid_size=20001)
             _setup.cache_clear()
-            warm = [eigenvalue_search(model, j, tol=1e-9, grid=grid) for j in range(k + 1)][-1]
+            warm = [eigenvalue_search(model, j, tol=1e-9, grid_size=20001) for j in range(k + 1)][-1]
             assert warm == cold
 
     def test_sweeps_per_level(self, monkeypatch):
@@ -178,19 +183,17 @@ class TestEigenvalueSearch:
 
         monkeypatch.setattr(shooting, "_numerov", counted)
         for model, most_calls, most_lengths in ((AQ, 4.25, 2.0), (CQ, 2.5, 1.2), (HO, 7.25, 3.6)):
-            grid = default_grid(model, 4001)
             _setup.cache_clear()
             calls.clear()
             for k in range(12):
-                eigenvalue_search(model, k, tol=1e-8, grid=grid)
+                eigenvalue_search(model, k, tol=1e-8, grid_size=4001)
             assert len(calls) <= most_calls * 12
-            assert sum(calls) <= most_lengths * grid.size * 12
+            assert sum(calls) <= most_lengths * 4001 * 12
 
     def test_two_sided_root_matches_ritz(self):
         # the root of Theta = k + 1 is the two-sided eigenvalue of the grid
-        grid = default_grid(AQ, 20001)
         ref = compute_spectrum(AQ, 64, n_diagnostics=12).eigenvalues[:12]
-        got = np.array([eigenvalue_search(AQ, k, tol=1e-8, grid=grid) for k in range(12)])
+        got = np.array([eigenvalue_search(AQ, k, tol=1e-8, grid_size=20001) for k in range(12)])
         assert np.max(np.abs(got - ref) / ref) < 5e-9
 
     def test_bisection_fallback_without_derivative(self, monkeypatch):
@@ -199,9 +202,8 @@ class TestEigenvalueSearch:
         phase = shooting._phase
         monkeypatch.setattr(shooting, "_phase", lambda setup, E: (phase(setup, E)[0], 0.0))
         _setup.cache_clear()
-        grid = default_grid(CQ, 20001)
         for k in range(3):
-            e = eigenvalue_search(CQ, k, tol=1e-9, grid=grid)
+            e = eigenvalue_search(CQ, k, tol=1e-9, grid_size=20001)
             exact = cq_eigenvalue(k + 1, GEOM)
             assert abs(e - exact) / exact < 1e-6
 
@@ -229,12 +231,13 @@ def _two_sided_phase(setup, E):
     # the Wronskian identity; the reference the mirrored form must reproduce.
     # A box's setup holds no right end, so the reference builds its own.
     m, model = setup.match, setup.model
-    T = _numerov_t(model, E, setup.grid, setup.V)
+    h = setup.h
+    T = _numerov_t(model, E, h, setup.V)
     psi_l = _sweep(_start(setup, setup.left, E), T[:m + 2])
     right = np.ascontiguousarray(T[::-1][:T.size - m + 1])
-    right_end = _end(model, model.walls[1], ((setup.xs[-1] - setup.xs) + setup.grid.eps)[::-1])
+    eps = EPS_FRAC * model.length_scale
+    right_end = _end(model, model.walls[1], ((setup.xs[-1] - setup.xs) + eps)[::-1])
     psi_r = _sweep(_start(setup, right_end, E), right)[::-1]  # psi_r[j] is at xs[m - 1 + j]
-    h = setup.grid.spacing
     k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
 
     def slope(psi, i):  # psi'(x_m), with the O(h^4) Numerov difference
@@ -258,7 +261,7 @@ class TestMirroredWronskian:
     def test_matches_two_sided_reference(self, cls, b, hbar, size):
         model = cls(BoxGeometry(b, hbar))
         _setup.cache_clear()
-        setup = _setup(model, default_grid(model, size))
+        setup = _setup(model, size)
         for E in np.geomspace(0.5, 400.0, 60) * model.energy_scale:
             theta, rate = _phase(setup, E)
             ref_theta, ref_rate = _two_sided_phase(setup, E)
@@ -268,12 +271,11 @@ class TestMirroredWronskian:
     @pytest.mark.parametrize("size", [4000, 4001])
     @pytest.mark.parametrize("model", [AQ, CqBox(BoxGeometry(0.3, 2.0))], ids=["aq-box", "cq-box"])
     def test_levels_match_two_sided_search(self, model, size, monkeypatch):
-        grid = default_grid(model, size)
         _setup.cache_clear()
-        got = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+        got = np.array([eigenvalue_search(model, k, tol=1e-10, grid_size=size) for k in range(12)])
         monkeypatch.setattr(shooting, "_phase", _two_sided_phase)
         _setup.cache_clear()
-        ref = np.array([eigenvalue_search(model, k, tol=1e-10, grid=grid) for k in range(12)])
+        ref = np.array([eigenvalue_search(model, k, tol=1e-10, grid_size=size) for k in range(12)])
         assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     def test_no_energy_swept_twice(self, monkeypatch):
@@ -288,9 +290,8 @@ class TestMirroredWronskian:
 
         monkeypatch.setattr(shooting, "_sweep", counted)
         _setup.cache_clear()
-        grid = default_grid(AQ, 4001)
         for k in range(12):
-            eigenvalue_search(AQ, k, tol=1e-8, grid=grid)
+            eigenvalue_search(AQ, k, tol=1e-8, grid_size=4001)
         assert len(sweeps) == len(set(sweeps))
 
 
@@ -316,7 +317,7 @@ def _onesided_nodes(psi_l, T):
 
 
 def _full_sweep_nodes(setup, E):
-    T = _numerov_t(setup.model, E, setup.grid, setup.V)
+    T = _numerov_t(setup.model, E, setup.h, setup.V)
     return _onesided_nodes(_sweep(_start(setup, setup.left, E), T), T)
 
 
@@ -329,7 +330,7 @@ def _mirrored_nodes(setup, E):
     # + [u_p (u_q - u_p) < 0]
     n = setup.xs.size
     p = (n - 1) // 2
-    T = _numerov_t(setup.model, E, setup.grid, setup.V[:p + 3])
+    T = _numerov_t(setup.model, E, setup.h, setup.V[:p + 3])
     u = _sweep(_start(setup, setup.left, E), T)
     count = 2 * count_nodes(u[:p + 1])
     if n % 2:
@@ -346,7 +347,7 @@ class TestMirroredNodes:
     def test_half_sweep_count_matches_full_sweep(self, cls, b, hbar, size):
         model = cls(BoxGeometry(b, hbar))
         _setup.cache_clear()
-        setup = _setup(model, default_grid(model, size))
+        setup = _setup(model, size)
         for E in _probe_energies(model):
             assert math.floor(_phase(setup, E)[0]) == _full_sweep_nodes(setup, E)
 
@@ -361,7 +362,7 @@ class TestMirroredNodes:
         monkeypatch.setattr(shooting, "_numerov", counted)
         for model in (AQ, CQ, HO):
             _setup.cache_clear()
-            setup = _setup(model, default_grid(model, size))
+            setup = _setup(model, size)
             lengths.clear()
             for E in np.geomspace(0.5, 400.0, 12) * model.energy_scale:
                 _phase(setup, E)
@@ -384,7 +385,7 @@ class TestCountingPhase:
         # entered from the wall lies there (aq-box at 1001 points, 1035.4 and
         # 1247.6 energy units, where Theta reads 20.0007 and 22.0006)
         _setup.cache_clear()
-        setup = _setup(model, default_grid(model, size))
+        setup = _setup(model, size)
         reference = _mirrored_nodes if model.symmetric else _full_sweep_nodes
         rng = np.random.default_rng(size)
         for E in [*_probe_energies(model), *rng.uniform(0.0, 2000.0, 320) * model.energy_scale]:
@@ -397,7 +398,7 @@ class TestCountingPhase:
         # by far less than a turn; a count and an angle that disagree show as a
         # jump of one
         _setup.cache_clear()
-        setup = _setup(model, default_grid(model, size))
+        setup = _setup(model, size)
         theta = np.array([_phase(setup, E)[0] for E in np.linspace(0.0, _probe_energies(model)[-1], 401)[1:]])
         steps = np.diff(theta)
         assert np.all(steps > 0.0) and np.max(steps) <= 0.5
@@ -414,10 +415,9 @@ class TestCountingPhase:
     @MODELS
     def test_derivative_matches_central_difference(self, model, size):
         _setup.cache_clear()
-        grid = default_grid(model, size)
-        setup = _setup(model, grid)
+        setup = _setup(model, size)
         for k in range(12):
-            E = eigenvalue_search(model, k, tol=1e-10, grid=grid)
+            E = eigenvalue_search(model, k, tol=1e-10, grid_size=size)
             step = 1e-5 * E
             central = (_phase(setup, E + step)[0] - _phase(setup, E - step)[0]) / (2.0 * step)
             assert abs(_phase(setup, E)[1] / central - 1.0) <= 1e-5
@@ -428,8 +428,7 @@ class TestCountingPhase:
         # the reference root of Theta = k + 1 bisects floor(Theta) down to
         # 1e-13 energy units
         _setup.cache_clear()
-        grid = default_grid(model, size)
-        setup = _setup(model, grid)
+        setup = _setup(model, size)
         scale = model.energy_scale
         roots = []
         for k in range(12):
@@ -439,7 +438,7 @@ class TestCountingPhase:
                 lo, hi = (lo, mid) if math.floor(_phase(setup, mid)[0]) > k else (mid, hi)
             roots.append(hi)
         for tol in (1e-8, 1e-10):
-            got = [eigenvalue_search(model, k, tol=tol, grid=grid) for k in range(12)]
+            got = [eigenvalue_search(model, k, tol=tol, grid_size=size) for k in range(12)]
             assert np.max(np.abs(np.subtract(got, roots))) <= tol * scale
 
     @pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
@@ -449,7 +448,7 @@ class TestCountingPhase:
         values = []
         for b, hbar in ((1.0, 1.0), (1e-3, 1.0), (0.119, 0.213), (1000.0, 1.0), (3.7, 20.0), (1e-20, 1e5)):
             model = cls(BoxGeometry(b, hbar))
-            values.append(_phase(_setup(model, default_grid(model, 4001)), model.energy_scale)[0])
+            values.append(_phase(_setup(model, 4001), model.energy_scale)[0])
         assert max(values) - min(values) <= 1e-9
 
 
@@ -506,11 +505,10 @@ class TestBoundaryExponent:
     def test_wall_sweep_matches_full_grid_fit(self, model):
         # the probe sweeps only from the wall across the fit window; the slope
         # must be the one fitted on a leading-power sweep over the whole grid
-        grid = default_grid(model, PROBE_GRID_SIZE)
         for k in (0, 1, 5):
-            e = eigenvalue_search(model, k, tol=1e-9, grid=default_grid(model, 20001))
+            e = eigenvalue_search(model, k, tol=1e-9, grid_size=20001)
             assert boundary_exponent_probe(model, e) == pytest.approx(
-                _exponent_reference(model, e, grid), abs=1e-12)
+                _exponent_reference(model, e), abs=1e-12)
 
     def test_memoised_window_is_bit_identical(self):
         # the window and the potential on it are built once per model; the
@@ -521,17 +519,18 @@ class TestBoundaryExponent:
             for model in models + models[::-1]:
                 e = E * model.energy_scale
                 got = boundary_exponent_probe(model, e)
-                assert got == _probe_full_grid(model, e, default_grid(model, PROBE_GRID_SIZE))
+                assert got == _probe_full_grid(model, e)
 
 
-def _exponent_reference(model, E, grid):
-    # the full-grid fit: one sweep from the probed wall over the whole grid,
-    # launched with the leading power alone, and log|psi| fitted against
-    # log s over the window s in [1e-4, 1e-2] * scale next to that wall
+def _exponent_reference(model, E):
+    # the full-grid fit: one sweep from the probed wall over the whole probe
+    # grid, launched with the leading power alone, and log|psi| fitted
+    # against log s over the window s in [1e-4, 1e-2] * scale next to that wall
     left = model.walls == (shooting.INVERSE_SQUARE, shooting.DIRICHLET)
-    xs = grid.points if left else grid.points[::-1].copy()
-    s = np.abs(xs - xs[0]) + grid.eps
-    T = _numerov_t(model, E, grid, evaluate_potential(model, xs))
+    xs, h, eps = _grid(model, PROBE_GRID_SIZE)
+    xs = xs if left else xs[::-1].copy()
+    s = np.abs(xs - xs[0]) + eps
+    T = _numerov_t(model, E, h, evaluate_potential(model, xs))
     start = _launch(model.walls[0 if left else 1], s)
     psi = np.zeros(xs.size)
     psi[:start.size] = start
@@ -541,17 +540,18 @@ def _exponent_reference(model, E, grid):
     return float(np.polyfit(np.log(s[window]), np.log(np.abs(psi[window])), 1)[0])
 
 
-def _probe_full_grid(model, E, grid):
-    # the probe as it was before its window was memoised: the whole grid,
-    # its distances and masks built on every call
+def _probe_full_grid(model, E):
+    # the probe as it was before its window was memoised: the whole probe
+    # grid, its distances and masks built on every call
     scale = model.length_scale
     step = 1 if model.walls == (shooting.INVERSE_SQUARE, shooting.DIRICHLET) else -1
-    xs, wall = grid.points[::step], model.walls[::step][0]
-    s = np.abs(xs - (xs[0] - step * grid.eps))
+    xs, h, eps = _grid(model, PROBE_GRID_SIZE)
+    xs, wall = xs[::step], model.walls[::step][0]
+    s = np.abs(xs - (xs[0] - step * eps))
     window = (s >= 1e-4 * scale) & (s <= 1e-2 * scale)
     stop = int(np.flatnonzero(window)[-1]) + 1
-    T = _numerov_t(model, E, grid, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
-    start = _launch(wall, np.abs(xs - xs[0]) + grid.eps)
+    T = _numerov_t(model, E, h, evaluate_potential(model, np.ascontiguousarray(xs[:stop])))
+    start = _launch(wall, np.abs(xs - xs[0]) + eps)
     psi = np.zeros(stop)
     psi[:start.size] = start
     _numerov(T, psi, start.size - 1)
@@ -566,7 +566,7 @@ class TestWallSeries:
         # at E = 2 hbar (k + 1) the regular wall solution is the eigenfunction
         # x^{3/2} L_k^(1)(x^2/hbar) exp(-x^2/2 hbar), up to a constant factor
         model = HalfHarmonic(hbar)
-        setup = _setup(model, default_grid(model, 20001))
+        setup = _setup(model, 20001)
         x = setup.xs[:setup.left.base.size]
         assert x[-1] < SERIES_FRAC * model.length_scale
         for k in range(12):
@@ -588,9 +588,8 @@ class TestWallSeries:
     def test_series_region(self, model):
         # every grid point nearer a wall than SERIES_FRAC * length_scale is
         # planted, and none farther; Dirichlet ends start from (0, h)
-        grid = default_grid(model, 4001)
-        setup = _setup(model, grid)
-        s = setup.xs - setup.xs[0] + grid.eps
+        setup = _setup(model, 4001)
+        s = setup.xs - setup.xs[0] + EPS_FRAC * model.length_scale
         planted = setup.left.base.size
         assert s[planted - 1] < SERIES_FRAC * model.length_scale <= s[planted]
         if model.walls[1] == shooting.DIRICHLET:
@@ -600,7 +599,7 @@ class TestWallSeries:
     def test_right_end_only_where_read(self, model):
         # a box takes its right branch from the left sweep reflected, so only
         # the half line builds the right end
-        setup = _setup(model, default_grid(model, 4001))
+        setup = _setup(model, 4001)
         if model.symmetric:
             assert setup.right is None
         else:
@@ -613,7 +612,7 @@ class TestWallSeries:
         # and start values must be the bits of a fresh copy of the E = 0
         # system with the energy added, solved alike, as energies and ends
         # alternate
-        setup = _setup(model, default_grid(model, 4001))
+        setup = _setup(model, 4001)
         recurrence = shooting._recurrence(model.wall_series)
         for E in np.random.default_rng(7).uniform(0.0, E_MAX_FACTOR, 50) * model.energy_scale:
             for end in (setup.left, setup.right):
@@ -636,17 +635,15 @@ class TestWavefunction:
         assert psi == pytest.approx(psi[::-1], abs=1e-5)
 
     def test_odd_level_antisymmetric(self):
-        grid = default_grid(AQ, 20001)
-        e1 = eigenvalue_search(AQ, 1, tol=1e-9, grid=grid)
-        xs, psi = wavefunction(AQ, e1, grid)
+        e1 = eigenvalue_search(AQ, 1, tol=1e-9, grid_size=20001)
+        xs, psi = wavefunction(AQ, e1, grid_size=20001)
         assert psi == pytest.approx(-psi[::-1], abs=1e-4)
 
     @pytest.mark.parametrize("k", range(4))
     def test_shot_carries_wavefunction_and_parity(self, k):
-        grid = default_grid(AQ, 20001)
-        e = eigenvalue_search(AQ, k, tol=1e-9, grid=grid)
-        shot = numerov_integrate(AQ, e, grid)
-        xs, psi = wavefunction(AQ, e, grid)
+        e = eigenvalue_search(AQ, k, tol=1e-9, grid_size=20001)
+        shot = numerov_integrate(AQ, e, 20001)
+        xs, psi = wavefunction(AQ, e, 20001)
         assert np.array_equal(shot.xs, xs) and np.array_equal(shot.psi, psi)
         assert shot.node_count == k
         assert shot.parity == ("even" if k % 2 == 0 else "odd")
@@ -670,9 +667,8 @@ class TestFinalShot:
     @pytest.mark.parametrize("cls", [AqBox, CqBox, HalfHarmonic], ids=["aq-box", "cq-box", "half-ho"])
     def test_nodes_and_parity_of_levels(self, cls, b, hbar, size):
         model = HalfHarmonic(hbar) if cls is HalfHarmonic else cls(BoxGeometry(b, hbar))
-        grid = default_grid(model, size)
         for k in range(12):
-            shot = numerov_integrate(model, eigenvalue_search(model, k, tol=1e-8, grid=grid), grid)
+            shot = numerov_integrate(model, eigenvalue_search(model, k, tol=1e-8, grid_size=size), size)
             assert shot.node_count == k
             if model.symmetric:
                 even = k % 2 == 0
@@ -692,33 +688,39 @@ class TestFinalShot:
 
         monkeypatch.setattr(shooting, "_numerov", counted)
         for model in (AQ, CQ):
-            grid = default_grid(model, size)
-            m = _setup(model, grid).match
+            m = _setup(model, size).match
             for E in np.geomspace(0.5, 400.0, 6) * model.energy_scale:
                 lengths.clear()
-                numerov_integrate(model, E, grid)
+                numerov_integrate(model, E, size)
                 assert sum(lengths) <= max(m, size - 1 - m) + 2
 
 
 class TestGridValidation:
     def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            ShootingGrid(-1.0, 1.0, 999, 0.0)
-
-    def test_ordering(self):
-        with pytest.raises(ValueError):
-            ShootingGrid(1.0, -1.0, 2000, 0.0)
+        # every entry point takes a point count and rejects one below 1000
+        e0 = 4.622
+        for call in (lambda n: eigenvalue_search(AQ, 0, grid_size=n),
+                     lambda n: numerov_integrate(AQ, e0, grid_size=n),
+                     lambda n: wavefunction(AQ, e0, grid_size=n)):
+            _setup.cache_clear()
+            with pytest.raises(ValueError):
+                call(999)
+            call(1000)
 
     def test_default_grids(self):
-        g = default_grid(AQ, 2001)
-        assert g.x_min == -1.0 + 1e-6 and g.x_max == 1.0 - 1e-6 and g.eps == 1e-6
-        g = default_grid(CQ, 2001)
-        assert g.x_min == -1.0 and g.x_max == 1.0 and g.eps == 0.0
-        g = default_grid(HalfHarmonic(4.0), 2001)
-        assert g.x_max == 24.0
+        # an inverse-square wall is offset inward by EPS_FRAC * length_scale,
+        # a Dirichlet end is a grid point
+        setup = _setup(AQ, 2001)
+        assert setup.xs[0] == -1.0 + 1e-6 and setup.xs[-1] == 1.0 - 1e-6
+        assert setup.h == (2.0 - 2e-6) / 2000
+        setup = _setup(CQ, 2001)
+        assert setup.xs[0] == -1.0 and setup.xs[-1] == 1.0 and setup.h == 0.001
+        setup = _setup(HalfHarmonic(4.0), 2001)
+        assert setup.xs[0] == 2e-6 and setup.xs[-1] == 24.0
+        assert setup.h == (24.0 - 2e-6) / 2000
         with pytest.raises(ModelUnsupported):
-            default_grid(AntiBox(GEOM), 2001)
-        assert default_grid(AQ).size == cli._DEFAULTS["grid-size"]
+            _setup(AntiBox(GEOM), 2001)
+        assert GRID_SIZE == cli._DEFAULTS["grid-size"]
 
 
 def test_count_nodes_matches_difference_count():
@@ -732,6 +734,21 @@ def test_count_nodes_matches_difference_count():
             signs = np.sign(psi)
             signs = signs[signs != 0]
             assert count_nodes(psi) == int(np.count_nonzero(np.diff(signs) != 0))
+
+
+def test_solvers_import_neither_other():
+    # the two solvers share no numerics: neither module imports the other.
+    # The package loads every module, so this reads the import statements
+    src = Path(shooting.__file__).parent
+    for module, other in (("ritz", "shooting"), ("shooting", "ritz")):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module or ""} | {alias.name for alias in node.names}
+        assert not any(name.split(".")[-1] == other for name in imported), module
 
 
 def test_kernel_rescaling_keeps_values_finite():
@@ -783,12 +800,11 @@ def test_kernel_matches_reference_loop(model):
     # search probes; exactly at an eigenvalue the sweep's tail is rounding
     # noise amplified by the growing solution and no two kernels agree there
     levels = [0.0] + _levels(model, 7)
-    grid = default_grid(model)
-    xs = grid.points
+    xs, h, eps = _grid(model, GRID_SIZE)
     V = evaluate_potential(model, xs)
     for lo, hi in zip(levels[:-1], levels[1:]):
-        T = _numerov_t(model, 0.5 * (lo + hi), grid, V)
-        start = _launch(model.walls[0], xs - xs[0] + grid.eps)
+        T = _numerov_t(model, 0.5 * (lo + hi), h, V)
+        start = _launch(model.walls[0], xs - xs[0] + eps)
         i0 = start.size - 1
         psi = np.zeros(xs.size)
         psi[:start.size] = start
@@ -817,14 +833,13 @@ def test_kernel_workspace_is_bit_identical(monkeypatch):
     # each the bits it gets from a freshly built band
     sweeps = []
     for model, size, half in ((AQ, 40001, False), (CQ, 1999, True)):
-        grid = default_grid(model, size)
-        setup = _setup(model, grid)
+        setup = _setup(model, size)
         m = setup.match
         stop = max(m, size - 1 - m) + 2 if half else size
         E = 0.5 * sum(_levels(model, 5)[3:5])
-        sweeps.append((_numerov_t(model, E, grid, setup.V)[:stop], _start(setup, setup.left, E)))
+        sweeps.append((_numerov_t(model, E, setup.h, setup.V)[:stop], _start(setup, setup.left, E)))
     probe = _probe(AQ)
-    sweeps.append((_numerov_t(AQ, 4.6, probe.grid, probe.V), probe.start))
+    sweeps.append((_numerov_t(AQ, 4.6, probe.h, probe.V), probe.start))
     assert [T.size for T, _ in sweeps[:2]] == [40001, 1001]
 
     def preset(T, start):
