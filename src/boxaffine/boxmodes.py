@@ -74,21 +74,22 @@ def cq_eigenfunction_extended(n, geom=BoxGeometry()):
     with breakpoints at the walls.
 
     The zero extension is continuous, but its slope jumps at +-b, so the weak
-    second derivative picks up one delta per wall.
+    second derivative picks up one delta per wall.  The mode is exactly zero
+    at both walls: the pieces are half-open, so x = -b is the interior
+    piece's, where the rounded cos or sin of n pi / 2 would leave ~1e-16.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     b = geom.b
     k = n * np.pi / (2.0 * b)
+    trig, dtrig = (np.cos, lambda u: -np.sin(u)) if n % 2 else (np.sin, np.cos)
 
-    if n % 2:
-        f = lambda x: np.cos(k * np.asarray(x, dtype=float))
-        df = lambda x: -k * np.sin(k * np.asarray(x, dtype=float))
-        d2f = lambda x: -k * k * np.cos(k * np.asarray(x, dtype=float))
-    else:
-        f = lambda x: np.sin(k * np.asarray(x, dtype=float))
-        df = lambda x: k * np.cos(k * np.asarray(x, dtype=float))
-        d2f = lambda x: -k * k * np.sin(k * np.asarray(x, dtype=float))
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) < b, trig(k * x), 0.0)
+
+    df = lambda x: k * dtrig(k * np.asarray(x, dtype=float))
+    d2f = lambda x: -k * k * trig(k * np.asarray(x, dtype=float))
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return PiecewiseSmooth((

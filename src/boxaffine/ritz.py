@@ -4,9 +4,10 @@ Trial functions are chi_n(x) = (1 - t^2)^w C_n(t), t = x/b, with C_n the
 Gegenbauer polynomial of order lambda = 2w - 1/2 orthonormal for the weight
 (1 - t^2)^{lambda - 1/2} (DLMF 18.3): w = 3/2 cancels the inverse-square wall
 potential, w = 1 handles the flat Dirichlet box.  The Gegenbauer equation and
-recurrence (DLMF 18.8-18.9) give the pencil H v = lambda S v in closed form;
-LAPACK (scipy.linalg.eigh) solves it, and one Rayleigh quotient refines each
-eigenvalue.
+recurrence (DLMF 18.8-18.9) give the pencil H v = lambda S v in closed form.
+H is diagonal and S couples n only to n +- 2, so the pencil splits into one
+symmetric tridiagonal eigenproblem per parity, which numpy.linalg solves:
+Ritz needs no scipy.linalg.
 """
 
 import math
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .boxmodes import BoxGeometry, count_nodes
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported
@@ -27,7 +27,8 @@ class NotPositiveDefinite(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """Stiffness matrix is not finite, or the LAPACK eigensolve did not converge."""
+    """Stiffness matrix or energies are not finite, or the LAPACK eigensolve
+    did not converge."""
 
 
 @dataclass(frozen=True)
@@ -107,17 +108,27 @@ def assemble_matrices(model, basis):
                                  b * (np.eye(n) - (J @ J)[:n, :n]))
 
 
+def _fix_signs(vecs):
+    """Flip each column so that its largest-magnitude component is positive,
+    for determinism; in place."""
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+
+
 def solve_generalized_symmetric(prob):
-    """Solve H v = lambda S v; eigenvalues ascending, vectors S-orthonormal.
+    """Solve a dense H v = lambda S v; eigenvalues ascending, vectors
+    S-orthonormal.  Acceptance criterion 9 checks it on random pencils; the
+    Ritz solve itself runs on the parity blocks (``_parity_solve``).
 
     LAPACK dsygvd gives the eigenvectors; each eigenvalue is then replaced by
     its Rayleigh quotient v^T H v / v^T S v, whose error is quadratic in the
-    eigenvector's.  That restores the relative accuracy the tridiagonal solve
-    loses on the low levels, which are up to 2e5 times smaller than the
-    highest at N = 64 (without it they fall ~5e-12 relative below the exact
-    values), so basis sweeps stay variationally monotone.  Eigenvector signs
-    are fixed (largest-magnitude component positive) for determinism.
+    eigenvector's.  That restores the relative accuracy the solve loses on
+    eigenvalues much smaller than the largest (on the Ritz pencil at N = 64
+    the low levels fell ~5e-12 relative below the exact values without it).
+    Eigenvector signs are fixed (largest-magnitude component positive).
     """
+    import scipy.linalg  # deferred: ~0.24 s and ~27 MB that the Ritz path never needs
+
     H, S = prob.H, prob.S
     if not np.all(np.isfinite(S)):
         raise NotPositiveDefinite("overlap matrix has non-finite entries")
@@ -132,9 +143,53 @@ def solve_generalized_symmetric(prob):
     evals = np.einsum("ij,ij->j", vecs, H @ vecs) / np.einsum("ij,ij->j", vecs, S @ vecs)
     order = np.argsort(evals, kind="stable")
     evals, vecs = evals[order], vecs[:, order]
-    lead = np.argmax(np.abs(vecs), axis=0)
-    vecs *= np.where(vecs[lead, np.arange(vecs.shape[1])] < 0, -1.0, 1.0)
+    _fix_signs(vecs)
     return evals, vecs
+
+
+def _parity_solve(model, basis, vectors):
+    """The pencil of ``assemble_matrices`` solved on its two parity blocks.
+
+    Returns the energies ascending, each level's parity p (0 even, 1 odd),
+    and with ``vectors`` the S-orthonormal coefficients, column k for level
+    k (else None).  H = (kappa/b) diag(h_n) couples no two indices and
+    S = b (I - J^2) couples n only to n +- 2, so the indices n = p (mod 2)
+    form a block.  With D = diag(h_n^{-1/2}) over them,
+    T_p = D (I - J^2)_p D is symmetric tridiagonal, with diagonal
+    (1 - a_n^2 - a_{n+1}^2) / h_n and off-diagonal
+    -a_{n+1} a_{n+2} / sqrt(h_n h_{n+2}).  Its eigenpairs (mu, y), |y| = 1,
+    give E = (kappa/b^2) / mu and v = D y / sqrt(b mu), zero in the other
+    parity's rows.  The low levels are the largest mu, which LAPACK
+    (numpy.linalg.eigh) resolves to full relative accuracy.
+    """
+    n, b = basis.size, basis.geom.b
+    a = _recurrence(basis)[1]
+    h = _stiffness(model, basis)
+    diag = (1.0 - a[:-1] ** 2 - a[1:] ** 2) / h
+    off = -a[1:-2] * a[2:-1] / np.sqrt(h[:-2] * h[2:])
+    energies, parities, columns = [], [], []
+    for p in (0, 1):
+        d, e = diag[p::2], off[p::2]
+        T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        try:
+            mu, y = np.linalg.eigh(T) if vectors else (np.linalg.eigvalsh(T), None)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+        energies.append(model.kappa / b / b / mu)
+        parities.append(np.full(mu.size, p))
+        if vectors:
+            v = np.zeros((n, mu.size))
+            v[p::2] = y / np.sqrt(h[p::2])[:, None] / np.sqrt(b * mu)
+            columns.append(v)
+    energies = np.concatenate(energies)
+    order = np.argsort(energies, kind="stable")
+    evals = energies[order]
+    vecs = np.hstack(columns)[:, order] if vectors else None
+    if not (np.all(np.isfinite(evals)) and (vecs is None or np.all(np.isfinite(vecs)))):
+        raise NoConvergence("energies or eigenvectors are not finite")
+    if vectors:
+        _fix_signs(vecs)
+    return evals, np.concatenate(parities)[order], vecs
 
 
 @dataclass(frozen=True)
@@ -172,9 +227,9 @@ class SpectrumResult:
 
 
 def compute_spectrum(model, n_basis, n_diagnostics=None):
-    """Assemble, solve, and attach diagnostics for the lowest levels.
+    """Solve on the parity blocks and attach diagnostics for the lowest levels.
 
-    Parity comes from the even/odd Gegenbauer coefficient support, node counts
+    Parity is the block a level comes from, node counts
     from sign changes on a 2048-point interior grid (10^-6 b wall margin),
     boundary exponents from the log-log slope of |psi| over
     b - |x| in [1e-4 b, 1e-2 b], and the residual is the worst relative
@@ -183,8 +238,7 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
     stiffness diagonal and eps = E b^2/kappa: no derivative needs sampling.
     """
     basis = basis_for(model, n_basis)
-    prob = assemble_matrices(model, basis)
-    evals, vecs = solve_generalized_symmetric(prob)
+    evals, parities, vecs = _parity_solve(model, basis, vectors=True)
 
     if n_diagnostics is None:
         n_diagnostics = min(n_basis, 12)
@@ -203,7 +257,6 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
     # one row per diagnosed level
     c = vecs[:, :count]
     energies = evals[:count]
-    parity_even = np.linalg.norm(c[0::2], axis=0) >= np.linalg.norm(c[1::2], axis=0)
     F = c.T @ C
     psi = om**w * F
     slopes = np.polyfit(np.log(s_fit), np.log(np.abs(c.T @ (om_fit**w * C_fit))).T, 1)[0]
@@ -218,7 +271,7 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
             (k + 1 < evals.size and abs(evals[k + 1] - energy) < 1e-12 * abs(energy))
             or (k > 0 and abs(energy - evals[k - 1]) < 1e-12 * abs(energy))
         )
-        levels.append(LevelDiagnostics(k, energy, "even" if parity_even[k] else "odd",
+        levels.append(LevelDiagnostics(k, energy, "odd" if parities[k] else "even",
                                        count_nodes(psi[k]), float(slopes[k]),
                                        float(residuals[k]), degenerate))
 
@@ -242,8 +295,7 @@ def convergence_sweep(model, sizes, n_levels):
         raise ValueError("smallest basis must be >= number of tracked levels")
     rows = []
     for n in sizes:
-        basis = basis_for(model, n)
-        evals, _ = solve_generalized_symmetric(assemble_matrices(model, basis))
+        evals, _, _ = _parity_solve(model, basis_for(model, n), vectors=False)
         rows.append(evals[:n_levels])
     energies = np.vstack(rows)
     if len(sizes) >= 2:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, dtrtrs
 
 from .boxmodes import count_nodes
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported, evaluate_potential
@@ -96,6 +95,15 @@ def _grid(model, size):
     return np.linspace(lo, hi, size), (hi - lo) / (size - 1), eps
 
 
+@functools.lru_cache(maxsize=1)
+def _lapack():
+    """LAPACK's dtbtrs and dtrtrs, imported on the first sweep: scipy.linalg
+    costs about 0.24 s and 27 MB per process, which a run that never sweeps
+    (a Ritz-only spectrum, say) need not pay."""
+    from scipy.linalg.lapack import dtbtrs, dtrtrs
+    return dtbtrs, dtrtrs
+
+
 _RESCALE_EVERY = 512  # Numerov steps between overflow checks
 
 # The kernel's band, shared by all sweeps and grown on demand.  Its +-1
@@ -125,6 +133,7 @@ def _numerov(T, psi, i0):
     # banded forward substitution solves it one block of 512 steps at a time;
     # after each full block psi is rescaled once it exceeds 1e100.
     # psi[:i0+1] must be preset; psi is filled in place.
+    dtbtrs = _lapack()[0]
     n = T.shape[0]
     steps = n - 1 - i0
     # lower band storage, ab[r, j] = A[j + r, j]; column 2s holds delta_{i0+s},
@@ -279,7 +288,7 @@ def _start(setup, end, E):
         return end.base
     # only the entries holding -w_2 depend on E, and w_2 carries -E L^2 / kappa
     np.add(end.w2_at_zero, E * setup.model.length_scale**2 / setup.model.kappa, out=end.w2)
-    coefficients, _ = dtrtrs(end.recurrence, _A0, lower=1)
+    coefficients, _ = _lapack()[1](end.recurrence, _A0, lower=1)
     return end.base * (end.powers @ coefficients)
 
 
@@ -323,21 +332,45 @@ def _pruefer(psi, T, i, hk):
     return float(psi[i]), slope
 
 
-def _turns(psi, T, i, hk):
+def _prefix(psi, i):
+    """Nodes of a branch through index i, and sum_{j<i} psi_j^2."""
+    head = psi[:i]
+    return count_nodes(psi[:i + 1]), float(head @ head)
+
+
+def _prefixes(psi, i, j):
+    """``_prefix`` of one branch at i and at j, |i - j| <= 1.  The later
+    one is the earlier one and one point more, so the branch is counted
+    once."""
+    lo = min(i, j)
+    first = _prefix(psi, lo)
+    if i == j:
+        return first, first
+    if psi[lo] == 0.0:  # the count skips zeros, so the last sign lies further back
+        later = _prefix(psi, lo + 1)
+    else:
+        nodes, mass = first
+        flip = psi[lo + 1] != 0.0 and (psi[lo + 1] > 0.0) != (psi[lo] > 0.0)
+        later = nodes + flip, mass + float(psi[lo]) ** 2
+    return (first, later) if i < j else (later, first)
+
+
+def _turns(psi, T, i, hk, prefix):
     """Pruefer angle over pi at index i of a branch swept from its own wall:
     its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
     (sum_{j<i} psi_j^2 + psi_i^2 / 2) / A^2, A^2 = psi_i^2 + (psi_i'/k)^2,
-    which sets the angle's rate in E.  The fourth-order psi' of ``_pruefer``
-    makes this rate the derivative of the angle to O(h^4) and not O(h^2).
-    Any difference of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of
-    Theta: the Numerov Wronskian of two branches is constant across i."""
+    which sets the angle's rate in E.  ``prefix`` is the branch's
+    ``_prefix`` at i.  The fourth-order psi' of ``_pruefer`` makes this rate
+    the derivative of the angle to O(h^4) and not O(h^2).  Any difference
+    of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of Theta: the
+    Numerov Wronskian of two branches is constant across i."""
+    nodes, mass = prefix
     value, slope = _pruefer(psi, T, i, hk)
-    head = psi[:i]
-    weight = (float(head @ head) + 0.5 * value * value) / (value * value + slope * slope)
+    weight = (mass + 0.5 * value * value) / (value * value + slope * slope)
     # the angle mod pi, taken in [0, pi] from the sign of psi_i that the count
     # sees, so that a count and an angle rounded to a multiple of pi agree
     phi = math.atan2(abs(value), slope if value > 0.0 else -slope) if value else math.pi
-    return count_nodes(psi[:i + 1]) + phi / math.pi, weight
+    return nodes + phi / math.pi, weight
 
 
 def _phase(setup, E):
@@ -357,8 +390,14 @@ def _phase(setup, E):
     if E not in setup.phases:
         left, right, k = _branches(setup, E)
         h = setup.h
-        turns_l = _turns(*left, h * k)
-        turns_r = turns_l if right is left else _turns(*right, h * k)
+        if right[0] is left[0]:
+            # one sweep, at m and at m* = n - 1 - m: the same index on an odd
+            # grid, adjacent ones on an even grid
+            prefix_l, prefix_r = _prefixes(left[0], left[2], right[2])
+        else:
+            prefix_l, prefix_r = _prefix(left[0], left[2]), _prefix(right[0], right[2])
+        turns_l = _turns(*left, h * k, prefix_l)
+        turns_r = turns_l if right is left else _turns(*right, h * k, prefix_r)
         setup.phases[E] = (turns_l[0] + turns_r[0],
                            h * (turns_l[1] + turns_r[1]) / (math.pi * setup.model.kappa * k))
     return setup.phases[E]

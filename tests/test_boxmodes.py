@@ -24,8 +24,10 @@ class TestEigenfunction:
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_dirichlet_walls(self, n):
-        assert abs(cq_eigenfunction_extended(n, GEOM)(GEOM.b)) < 1e-14
-        assert abs(cq_eigenfunction_extended(n, GEOM)(-GEOM.b)) < 1e-14
+        for geom in (GEOM, BoxGeometry(3.7, 20.0)):
+            mode = cq_eigenfunction_extended(n, geom)
+            assert mode(geom.b) == 0.0 and mode(-geom.b) == 0.0
+            assert np.all(mode(np.array([-geom.b, geom.b])) == 0.0)
 
     def test_orthogonality(self):
         rule = gauss_legendre(200)

@@ -393,6 +393,37 @@ def test_spectrum_run_leaves_scipy_optimize_unloaded():
     assert out.strip() == "0 False False"
 
 
+def test_only_a_sweep_loads_scipy_linalg():
+    # Ritz runs on numpy alone and shooting imports LAPACK on its first
+    # sweep, so a command that sweeps nothing never pays scipy.linalg's
+    # ~0.24 s and ~27 MB; --method both sweeps, and is the control
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
+            "print('import', 'scipy.linalg' in sys.modules)\n"
+            "for argv in (['potential', '--model', 'aq-box'],\n"
+            "             ['check-derivatives', '--target', 'cq-eigenfunction', '--n', '2'],\n"
+            "             ['convergence', '--model', 'aq-box'],\n"
+            "             ['spectrum', '--model', 'aq-box', '--method', 'rayleigh-ritz'],\n"
+            "             ['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rc = cli.main(argv)\n"
+            "    print(argv[0], rc, 'scipy.linalg' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split("\n")[:-1] == ["import False", "potential 0 False",
+                                    "check-derivatives 0 False", "convergence 0 False",
+                                    "spectrum 0 False", "spectrum 0 True"]
+
+
+def test_python_m_boxaffine_runs_the_cli():
+    # python -m boxaffine is the boxaffine command without an install
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "boxaffine", "validate"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0
+    assert run.stdout.count("PASS") == 9
+
+
 class TestPotential:
     def test_aq_box_default_grid(self, capsys):
         code, out, _ = run_cli(capsys, "potential", "--model", "aq-box", "--b", "1")

@@ -261,6 +261,54 @@ def test_levels_against_independent_references(spheroidal_c, b, hbar):
     assert np.max(np.abs(cq - exact) / exact) <= 1e-14
 
 
+SCALES = [(1.0, 1.0), (1e-40, 1.0), (1e3, 1e-3), (1.0, 1e12), (1e45, 1.0), (3.7, 20.0),
+          (1.0, 1e-20)]
+
+
+@pytest.mark.parametrize("b, hbar", SCALES)
+@pytest.mark.parametrize("cls", [AqBox, CqBox], ids=["aq-box", "cq-box"])
+def test_parity_blocks_solve_the_dense_pencil(cls, b, hbar):
+    # the block eigenpairs against scipy.linalg.eigh of the assembled pencil
+    # (with the Rayleigh quotient of solve_generalized_symmetric, which keeps
+    # the low levels to full relative accuracy).  The blocks resolve their
+    # eigenvalues mu = (kappa/b^2)/E to eps * max mu, so level k to
+    # eps * E_k / E_0 relative: levels 0-11 to rounding, the top of N = 64
+    # to ~3e-14
+    model = cls(BoxGeometry(b, hbar))
+    for n in range(1, 65):
+        prob = assemble_matrices(model, basis_for(model, n))
+        ref, _ = solve_generalized_symmetric(prob)
+        spec = compute_spectrum(model, n)
+        energies, vecs = spec.eigenvalues, spec.coefficients
+        rel = np.abs(energies - ref) / ref
+        assert np.max(rel[:12]) <= 1e-14
+        assert np.max(rel / np.maximum(1.0, energies / energies[min(n, 12) - 1])) <= 1e-14
+        assert np.max(np.abs(vecs.T @ prob.S @ vecs - np.eye(n))) <= 1e-12
+        residual = prob.H @ vecs - (prob.S @ vecs) * energies
+        size = (np.abs(prob.H).max() + energies * np.abs(prob.S).max()) * np.abs(vecs).max(axis=0)
+        assert np.max(np.abs(residual).max(axis=0) / size) <= 1e-13
+        swept = convergence_sweep(model, (n,), min(n, 12)).energies[0]
+        assert np.max(np.abs(swept - ref[:12]) / ref[:12]) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48, 64])
+@pytest.mark.parametrize("model", [AQ, CQ], ids=["aq-box", "cq-box"])
+def test_each_level_has_its_block_parity(model, n):
+    # a level's coefficients vanish exactly in the other parity's rows, its
+    # reported parity is that block's, and its eigenfunction has that symmetry
+    spec = compute_spectrum(model, n)
+    x = np.linspace(0.05, 0.95, 7)
+    for k in range(n):
+        column = spec.coefficients[:, k]
+        even = not np.any(column[1::2])
+        assert even != (not np.any(column[0::2]))  # exactly one block carries it
+        if k < len(spec.levels):
+            assert spec.levels[k].parity == ("even" if even else "odd")
+        psi = spec.eigenfunction(k, x)
+        mirrored = spec.eigenfunction(k, -x) * (1.0 if even else -1.0)
+        assert np.max(np.abs(mirrored - psi)) <= 1e-9 * np.max(np.abs(psi))
+
+
 class TestConvergenceSweep:
     def test_variational_monotonicity(self):
         table = convergence_sweep(AQ, (8, 12, 16, 24, 32, 48), 6)
