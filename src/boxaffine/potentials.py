@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxmodes import BoxGeometry
-from .quadrature import laguerre_eval
 
 
 class DomainError(ValueError):
@@ -86,7 +85,13 @@ class AqBox(_Box):
     wall_series = (0.75,) + tuple((3 * j - 5) / 2.0 ** (j + 2) for j in range(1, 32))
 
     def potential(self, x):
-        return aq_box_potential(x, self.geom)
+        """hbar^2 (2x^2 + b^2) / (b^2 - x^2)^2 on the open box |x| < b."""
+        b, hbar = self.geom.b, self.geom.hbar
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) >= b):
+            raise DomainError("AqBox potential requires |x| < b")
+        out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,13 @@ class HalfHarmonic:
         return (0.0, 12.0 * self.length_scale)
 
     def potential(self, x):
-        return half_ho_potential(x, self.hbar)
+        """[(3/4) hbar^2 / x^2 + x^2] / 2 on x > 0 (the kinetic term carries
+        the same overall 1/2 for this variant)."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x <= 0):
+            raise DomainError("HalfHarmonic potential requires x > 0")
+        out = 0.5 * (0.75 * self.hbar**2 / (x * x) + x * x)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -134,44 +145,18 @@ class AntiBox:
             raise ValueError("W must be >= 0 and finite")
 
     def potential(self, x):
-        return anti_box_potential(x, self.geom, self.W)
-
-
-def aq_box_potential(x, geom=BoxGeometry()):
-    """hbar^2 (2x^2 + b^2) / (b^2 - x^2)^2 on the open box |x| < b."""
-    b, hbar = geom.b, geom.hbar
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= b):
-        raise DomainError("aq_box_potential requires |x| < b")
-    out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def half_ho_potential(x, hbar=1.0):
-    """[(3/4) hbar^2 / x^2 + x^2] / 2 on x > 0 (the kinetic term carries the
-    same overall 1/2 for this variant)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("half_ho_potential requires x > 0")
-    out = 0.5 * (0.75 * hbar**2 / (x * x) + x * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def anti_box_potential(x, geom=BoxGeometry(), W=0.0):
-    """Exterior-region potential hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 + W/|x|,
-    |x| > b.  Evaluation only; no spectrum solver exists for this variant."""
-    b, hbar = geom.b, geom.hbar
-    if W < 0:
-        raise ValueError("W must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) <= b):
-        raise DomainError("anti_box_potential requires |x| > b")
-    out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2 + W / np.abs(x)
-    return float(out) if out.ndim == 0 else out
+        """Exterior-region potential hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 + W/|x|,
+        |x| > b.  Evaluation only; no spectrum solver exists for this variant."""
+        b, hbar = self.geom.b, self.geom.hbar
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) <= b):
+            raise DomainError("AntiBox potential requires |x| > b")
+        out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2 + self.W / np.abs(x)
+        return float(out) if out.ndim == 0 else out
 
 
 def boundary_asymptotic_ratio(x, geom=BoxGeometry()):
-    """aq_box_potential(x) divided by its wall asymptote
+    """The AqBox potential at x divided by its wall asymptote
     (3/4) hbar^2 / (b - |x|)^2; tends to 1 as |x| -> b."""
     b, hbar = geom.b, geom.hbar
     x = np.asarray(x, dtype=float)
@@ -179,7 +164,7 @@ def boundary_asymptotic_ratio(x, geom=BoxGeometry()):
     if np.any(s <= 0):
         raise DomainError("ratio defined inside the open box, |x| < b")
     reference = 0.75 * hbar**2 / (s * s)
-    out = aq_box_potential(x, geom) / reference
+    out = AqBox(geom).potential(x) / reference
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,6 +194,23 @@ def half_ho_eigenvalue(k, hbar=1.0):
     if k < 0:
         raise ValueError("k must be >= 0")
     return 2.0 * hbar * (k + 1)
+
+
+def laguerre_eval(alpha, n, t):
+    """Generalized Laguerre polynomial L_n^{(alpha)}(t), alpha > -1, t >= 0."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if alpha <= -1:
+        raise ValueError("alpha must be > -1")
+    t = np.asarray(t, dtype=float)
+    p_prev = np.ones_like(t)
+    if n == 0:
+        return p_prev if p_prev.ndim else float(p_prev)
+    p = 1.0 + alpha - t
+    for k in range(1, n):
+        p, p_prev = ((2 * k + 1 + alpha - t) * p - (k + alpha) * p_prev) / (k + 1), p
+    p = np.asarray(p, dtype=float)
+    return p if p.ndim else float(p)
 
 
 def half_ho_eigenfunction(k, x, hbar=1.0):

@@ -1,7 +1,7 @@
-"""Gauss-Legendre rules and the Laguerre recurrence.
+"""Gauss-Legendre rules.
 
-Everything here is plain dense numpy.  Gauss-Legendre rules are built once
-per order and cached read-only, so every caller shares them.
+Everything here is plain dense numpy.  Rules are built once per order and
+cached read-only, so every caller shares them.
 """
 
 import functools
@@ -17,23 +17,6 @@ class ConvergenceFailure(RuntimeError):
 MAX_ORDER = 512
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
-
-
-def laguerre_eval(alpha, n, t):
-    """Generalized Laguerre polynomial L_n^{(alpha)}(t), alpha > -1, t >= 0."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if alpha <= -1:
-        raise ValueError("alpha must be > -1")
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + alpha - t
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + alpha - t) * p - (k + alpha) * p_prev) / (k + 1), p
-    p = np.asarray(p, dtype=float)
-    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)

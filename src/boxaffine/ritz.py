@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .boxmodes import BoxGeometry, count_nodes
+from .boxmodes import count_nodes
 from .potentials import DIRICHLET, INVERSE_SQUARE, ModelUnsupported
 
 MAX_BASIS = 64
@@ -31,35 +31,26 @@ class NoConvergence(RuntimeError):
     did not converge."""
 
 
-@dataclass(frozen=True)
-class BasisSpec:
-    size: int
-    weight_exponent: float
-    geom: BoxGeometry
-
-    def __post_init__(self):
-        if not 1 <= self.size <= MAX_BASIS:
-            raise ValueError(f"basis size must be in [1, {MAX_BASIS}]")
-        if self.weight_exponent not in (1.0, 1.5):
-            raise ValueError("weight exponent must be 1 (Dirichlet) or 3/2 (singular walls)")
-
-
 # per wall kind, alike at both ends: the weight exponent w, and the c of
 # -kappa chi_n'' + V chi_n = (kappa/b^2) (1 - t^2)^{w-1} (n(n + 2 lambda) + c) C_n
 _WALL_BASIS = {DIRICHLET: (1.0, 2.0), INVERSE_SQUARE: (1.5, 4.0)}
 
 
 def has_basis(model):
-    """Whether the model's walls are alike at both ends of a box, as basis_for needs."""
+    """Whether the model's walls are alike at both ends of a box, as the
+    weighted basis needs."""
     return model.walls in ((DIRICHLET, DIRICHLET), (INVERSE_SQUARE, INVERSE_SQUARE))
 
 
-def basis_for(model, n):
-    """Basis matched to the model's walls, alike at both ends of the box:
-    weight exponent 3/2 at inverse-square walls, 1 at Dirichlet ones."""
+def _basis(model, n):
+    """The weight exponent w and the constant c of the basis matched to the
+    model's walls, alike at both ends of the box: w = 3/2 at inverse-square
+    walls, 1 at Dirichlet ones; for n basis functions."""
     if not has_basis(model):
         raise ModelUnsupported(f"no finite-interval basis for {type(model).__name__}")
-    return BasisSpec(n, _WALL_BASIS[model.walls[0]][0], model.geom)
+    if not 1 <= n <= MAX_BASIS:
+        raise ValueError(f"basis size must be in [1, {MAX_BASIS}]")
+    return _WALL_BASIS[model.walls[0]]
 
 
 @dataclass(frozen=True)
@@ -70,41 +61,40 @@ class GeneralizedEigProblem:
     S: np.ndarray
 
 
-def _recurrence(basis):
-    """lambda, and a_0 = 0, a_1..a_N of t C_k = a_{k+1} C_{k+1} + a_k C_{k-1}."""
-    lam = 2.0 * basis.weight_exponent - 0.5
-    k = np.arange(basis.size + 1.0)
+def _recurrence(w, n):
+    """lambda, and a_0 = 0, a_1..a_n of t C_k = a_{k+1} C_{k+1} + a_k C_{k-1}."""
+    lam = 2.0 * w - 0.5
+    k = np.arange(n + 1.0)
     return lam, np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
 
 
-def _sample(basis, t):
-    """1 - t^2, and C_0..C_{N-1} at the points t, shape (N, len(t))."""
-    lam, a = _recurrence(basis)
-    C = np.zeros((basis.size + 1, t.size))  # row k + 1 holds C_k
+def _sample(w, n, t):
+    """1 - t^2, and C_0..C_{n-1} at the points t, shape (n, len(t))."""
+    lam, a = _recurrence(w, n)
+    C = np.zeros((n + 1, t.size))  # row k + 1 holds C_k
     C[1] = (math.sqrt(math.pi) * math.gamma(lam + 0.5) / math.gamma(lam + 1.0)) ** -0.5
-    for k in range(basis.size - 1):
+    for k in range(n - 1):
         C[k + 2] = (t * C[k + 1] - a[k] * C[k]) / a[k + 1]
     return 1.0 - t * t, C[1:]
 
 
-def _stiffness(model, basis):
-    """n(n + 2 lambda) + c for n < N: the diagonal of H, in units of kappa/b."""
-    w, c = _WALL_BASIS[model.walls[0]]
-    n = np.arange(basis.size)
-    return n * (n + 4 * w - 1) + c
+def _stiffness(w, c, n):
+    """j(j + 2 lambda) + c for j < n: the diagonal of H, in units of kappa/b."""
+    j = np.arange(n)
+    return j * (j + 4 * w - 1) + c
 
 
-def assemble_matrices(model, basis):
-    """H = int [kappa chi_m' chi_n' + V chi_m chi_n] dx and S = int chi_m chi_n dx
-    in closed form: H is diagonal, and S = b (I - J^2)[:N, :N] since chi_m chi_n
-    carries one factor 1 - t^2 beyond the weight, with J the (N+1)-square
-    Jacobi matrix so that the block is exact."""
-    if basis != basis_for(model, basis.size):  # raises ModelUnsupported off the two boxes
-        raise ValueError("basis does not match the model's walls and box")
-    n, b = basis.size, basis.geom.b
-    a = _recurrence(basis)[1][1:]
+def assemble_matrices(model, n):
+    """H = int [kappa chi_j' chi_k' + V chi_j chi_k] dx and S = int chi_j chi_k dx
+    over the model's first n basis functions, in closed form: H is diagonal,
+    and S = b (I - J^2)[:n, :n] since chi_j chi_k carries one factor 1 - t^2
+    beyond the weight, with J the (n+1)-square Jacobi matrix so that the
+    block is exact."""
+    w, c = _basis(model, n)
+    b = model.geom.b
+    a = _recurrence(w, n)[1][1:]
     J = np.diag(a, 1) + np.diag(a, -1)
-    return GeneralizedEigProblem(np.diag(model.kappa / b * _stiffness(model, basis)),
+    return GeneralizedEigProblem(np.diag(model.kappa / b * _stiffness(w, c, n)),
                                  b * (np.eye(n) - (J @ J)[:n, :n]))
 
 
@@ -147,7 +137,7 @@ def solve_generalized_symmetric(prob):
     return evals, vecs
 
 
-def _parity_solve(model, basis, vectors):
+def _parity_solve(model, n, vectors):
     """The pencil of ``assemble_matrices`` solved on its two parity blocks.
 
     Returns the energies ascending, each level's parity p (0 even, 1 odd),
@@ -162,9 +152,10 @@ def _parity_solve(model, basis, vectors):
     parity's rows.  The low levels are the largest mu, which LAPACK
     (numpy.linalg.eigh) resolves to full relative accuracy.
     """
-    n, b = basis.size, basis.geom.b
-    a = _recurrence(basis)[1]
-    h = _stiffness(model, basis)
+    w, c = _basis(model, n)
+    b = model.geom.b
+    a = _recurrence(w, n)[1]
+    h = _stiffness(w, c, n)
     diag = (1.0 - a[:-1] ** 2 - a[1:] ** 2) / h
     off = -a[1:-2] * a[2:-1] / np.sqrt(h[:-2] * h[2:])
     energies, parities, columns = [], [], []
@@ -205,24 +196,27 @@ class LevelDiagnostics:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Ascending eigenvalues, basis coefficients, and per-level diagnostics."""
+    """Ascending eigenvalues, basis coefficients, and per-level diagnostics,
+    from the first ``basis`` functions of the model's weighted basis."""
 
-    basis: BasisSpec
+    model: object
+    basis: int
     eigenvalues: np.ndarray
     coefficients: np.ndarray  # column k holds level k
     levels: Tuple[LevelDiagnostics, ...]
 
     def eigenfunction(self, k, x):
         """Level-k trial eigenfunction (zero outside the closed box)."""
-        b = self.basis.geom.b
+        w = _basis(self.model, self.basis)[0]
+        b = self.model.geom.b
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         xv = np.atleast_1d(x)
         out = np.zeros_like(xv)
         inside = np.abs(xv) < b
         if inside.any():
-            om, C = _sample(self.basis, xv[inside] / b)
-            out[inside] = om**self.basis.weight_exponent * (self.coefficients[:, k] @ C)
+            om, C = _sample(w, self.basis, xv[inside] / b)
+            out[inside] = om**w * (self.coefficients[:, k] @ C)
         return float(out[0]) if scalar else out
 
 
@@ -234,33 +228,34 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
     boundary exponents from the log-log slope of |psi| over
     b - |x| in [1e-4 b, 1e-2 b], and the residual is the worst relative
     pointwise defect of -kappa psi'' + V psi - E psi away from the walls, which
-    is (kappa/b^2) (1 - t^2)^{w-1} sum c_n (mu_n - eps (1 - t^2)) C_n with mu the
-    stiffness diagonal and eps = E b^2/kappa: no derivative needs sampling.
+    is (kappa/b^2) (1 - t^2)^{w-1} sum v_n (mu_n - eps (1 - t^2)) C_n with v the
+    level's coefficients, mu the stiffness diagonal and eps = E b^2/kappa: no
+    derivative needs sampling.
     """
-    basis = basis_for(model, n_basis)
-    evals, parities, vecs = _parity_solve(model, basis, vectors=True)
+    evals, parities, vecs = _parity_solve(model, n_basis, vectors=True)
 
     if n_diagnostics is None:
         n_diagnostics = min(n_basis, 12)
     count = min(n_diagnostics, n_basis)
-    b, w = basis.geom.b, basis.weight_exponent
+    w, c = _basis(model, n_basis)
+    b = model.geom.b
     scale = model.kappa / (b * b)
-    mu = _stiffness(model, basis)
+    mu = _stiffness(w, c, n_basis)
 
     # the 2048 interior points and the 40 fit points at b - s, sampled at once
     t = np.linspace(-(1.0 - 1e-6), 1.0 - 1e-6, 2048)
     s_fit = np.geomspace(1e-4 * b, 1e-2 * b, 40)
-    om, C = _sample(basis, np.concatenate([t, (b - s_fit) / b]))
+    om, C = _sample(w, n_basis, np.concatenate([t, (b - s_fit) / b]))
     om, om_fit, C, C_fit = om[:t.size], om[t.size:], C[:, :t.size], C[:, t.size:]
     interior = np.abs(t) <= 1.0 - 1e-2
 
     # one row per diagnosed level
-    c = vecs[:, :count]
+    v = vecs[:, :count]
     energies = evals[:count]
-    F = c.T @ C
+    F = v.T @ C
     psi = om**w * F
-    slopes = np.polyfit(np.log(s_fit), np.log(np.abs(c.T @ (om_fit**w * C_fit))).T, 1)[0]
-    defect = scale * om ** (w - 1.0) * ((c.T * mu) @ C - (energies / scale)[:, None] * om * F)
+    slopes = np.polyfit(np.log(s_fit), np.log(np.abs(v.T @ (om_fit**w * C_fit))).T, 1)[0]
+    defect = scale * om ** (w - 1.0) * ((v.T * mu) @ C - (energies / scale)[:, None] * om * F)
     residuals = (np.max(np.abs(defect[:, interior]), axis=1)
                  / (np.abs(energies) * np.max(np.abs(psi), axis=1)))
 
@@ -275,7 +270,7 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
                                        count_nodes(psi[k]), float(slopes[k]),
                                        float(residuals[k]), degenerate))
 
-    return SpectrumResult(basis, evals, vecs, tuple(levels))
+    return SpectrumResult(model, n_basis, evals, vecs, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -289,13 +284,15 @@ def convergence_sweep(model, sizes, n_levels):
     """Per-level eigenvalues across basis sizes; variational, so each column
     is nonincreasing in N."""
     sizes = tuple(int(s) for s in sizes)
+    if not sizes:
+        raise ValueError("sizes must not be empty")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     if sizes[0] < n_levels:
         raise ValueError("smallest basis must be >= number of tracked levels")
     rows = []
     for n in sizes:
-        evals, _, _ = _parity_solve(model, basis_for(model, n), vectors=False)
+        evals, _, _ = _parity_solve(model, n, vectors=False)
         rows.append(evals[:n_levels])
     energies = np.vstack(rows)
     if len(sizes) >= 2:

@@ -338,23 +338,6 @@ def _prefix(psi, i):
     return count_nodes(psi[:i + 1]), float(head @ head)
 
 
-def _prefixes(psi, i, j):
-    """``_prefix`` of one branch at i and at j, |i - j| <= 1.  The later
-    one is the earlier one and one point more, so the branch is counted
-    once."""
-    lo = min(i, j)
-    first = _prefix(psi, lo)
-    if i == j:
-        return first, first
-    if psi[lo] == 0.0:  # the count skips zeros, so the last sign lies further back
-        later = _prefix(psi, lo + 1)
-    else:
-        nodes, mass = first
-        flip = psi[lo + 1] != 0.0 and (psi[lo + 1] > 0.0) != (psi[lo] > 0.0)
-        later = nodes + flip, mass + float(psi[lo]) ** 2
-    return (first, later) if i < j else (later, first)
-
-
 def _turns(psi, T, i, hk, prefix):
     """Pruefer angle over pi at index i of a branch swept from its own wall:
     its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
@@ -390,14 +373,8 @@ def _phase(setup, E):
     if E not in setup.phases:
         left, right, k = _branches(setup, E)
         h = setup.h
-        if right[0] is left[0]:
-            # one sweep, at m and at m* = n - 1 - m: the same index on an odd
-            # grid, adjacent ones on an even grid
-            prefix_l, prefix_r = _prefixes(left[0], left[2], right[2])
-        else:
-            prefix_l, prefix_r = _prefix(left[0], left[2]), _prefix(right[0], right[2])
-        turns_l = _turns(*left, h * k, prefix_l)
-        turns_r = turns_l if right is left else _turns(*right, h * k, prefix_r)
+        turns_l = _turns(*left, h * k, _prefix(left[0], left[2]))
+        turns_r = turns_l if right is left else _turns(*right, h * k, _prefix(right[0], right[2]))
         setup.phases[E] = (turns_l[0] + turns_r[0],
                            h * (turns_l[1] + turns_r[1]) / (math.pi * setup.model.kappa * k))
     return setup.phases[E]
@@ -430,12 +407,16 @@ def _newton(f, target, lo, hi, f_lo, f_hi, width):
         E = new if lo < new < hi else 0.5 * (lo + hi)
 
 
-def _shoot(model, E, grid_size):
-    """Two-sided shot at E from the branches of ``_branches``.  The right
-    branch is scaled by the alpha that fits alpha times its Pruefer vector at
-    the match point m to the left one's in least squares, and the two are
-    joined at m.  On a mirror-symmetric model alpha is +-1 up to the search
-    width, and its sign is the parity."""
+def numerov_integrate(model, E, grid_size=GRID_SIZE):
+    """Two-sided shot at trial energy E on a grid of ``grid_size`` points:
+    the node count, parity and max-normalised values of the assembled
+    solution.
+
+    The shot takes the branches of ``_branches``.  The right branch is
+    scaled by the alpha that fits alpha times its Pruefer vector at the match
+    point m to the left one's in least squares, and the two are joined at m.
+    On a mirror-symmetric model alpha is +-1 up to the search width, and its
+    sign is the parity."""
     setup = _setup(model, grid_size)
     (psi_l, T_l, m), (psi_r, T_r, ms), k = _branches(setup, E)
     hk = setup.h * k
@@ -447,13 +428,6 @@ def _shoot(model, E, grid_size):
     psi = assembled / np.max(np.abs(assembled))
     parity = ("even" if alpha >= 0 else "odd") if model.symmetric else None
     return MatchResult(E, count_nodes(psi), parity, setup.xs, psi)
-
-
-def numerov_integrate(model, E, grid_size=GRID_SIZE):
-    """Two-sided shot at trial energy E on a grid of ``grid_size`` points:
-    the node count, parity and max-normalised values of the assembled
-    solution."""
-    return _shoot(model, E, grid_size)
 
 
 def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
@@ -500,7 +474,7 @@ def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
 
 def wavefunction(model, E, grid_size=GRID_SIZE):
     """Assembled two-sided solution at E, max-normalized; (xs, psi)."""
-    shot = _shoot(model, E, grid_size)
+    shot = numerov_integrate(model, E, grid_size)
     return shot.xs, shot.psi
 
 

@@ -6,85 +6,84 @@ from scipy import integrate
 
 from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import (DIRICHLET, INVERSE_SQUARE, AntiBox, AqBox, CqBox, DomainError,
-                                  HalfHarmonic, ModelUnsupported, anti_box_potential,
-                                  aq_box_potential, boundary_asymptotic_ratio, evaluate_potential,
-                                  half_ho_eigenfunction, half_ho_eigenvalue, half_ho_potential,
-                                  singularity_metadata)
+                                  HalfHarmonic, ModelUnsupported, boundary_asymptotic_ratio,
+                                  evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue,
+                                  laguerre_eval, singularity_metadata)
 
 GEOM = BoxGeometry(1.0, 1.0)
 
 
 class TestAqBoxPotential:
     def test_center_value(self):
-        assert aq_box_potential(0.0, GEOM) == pytest.approx(1.0, rel=1e-15)
+        assert AqBox(GEOM).potential(0.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_near_wall_value(self):
         # direct arithmetic: (2 * 0.81 + 1) / 0.19^2
-        assert aq_box_potential(0.9, GEOM) == pytest.approx((2 * 0.81 + 1) / 0.19**2, rel=1e-14)
-        assert aq_box_potential(0.9, GEOM) == pytest.approx(72.5762, abs=1e-4)
+        assert AqBox(GEOM).potential(0.9) == pytest.approx((2 * 0.81 + 1) / 0.19**2, rel=1e-14)
+        assert AqBox(GEOM).potential(0.9) == pytest.approx(72.5762, abs=1e-4)
 
     def test_even(self):
         xs = np.linspace(0.01, 0.98, 37)
-        assert np.array_equal(aq_box_potential(xs, GEOM), aq_box_potential(-xs, GEOM))
+        assert np.array_equal(AqBox(GEOM).potential(xs), AqBox(GEOM).potential(-xs))
 
     def test_positive(self):
         xs = np.linspace(-0.999, 0.999, 301)
-        assert np.all(aq_box_potential(xs, GEOM) > 0)
+        assert np.all(AqBox(GEOM).potential(xs) > 0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            aq_box_potential(1.0, GEOM)
+            AqBox(GEOM).potential(1.0)
         with pytest.raises(DomainError):
-            aq_box_potential(np.array([0.0, 1.5]), GEOM)
+            AqBox(GEOM).potential(np.array([0.0, 1.5]))
 
     def test_scaling_collapse(self):
         geom = BoxGeometry(2.5, 1.7)
         xs = np.linspace(-0.9, 0.9, 21)
-        lhs = aq_box_potential(xs * geom.b, geom)
-        rhs = (geom.hbar**2 / geom.b**2) * aq_box_potential(xs, GEOM)
+        lhs = AqBox(geom).potential(xs * geom.b)
+        rhs = (geom.hbar**2 / geom.b**2) * AqBox(GEOM).potential(xs)
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
     def test_declared_singularity_strength(self):
         for b in (1.0, 2.0):
             geom = BoxGeometry(b, 1.0)
             s = 1e-6 * b
-            val = (s * s) * aq_box_potential(b - s, geom)
+            val = (s * s) * AqBox(geom).potential(b - s)
             assert val == pytest.approx(0.75 * geom.hbar**2, rel=1e-6)
 
 
 class TestHalfHoPotential:
     def test_value_at_one(self):
-        assert half_ho_potential(1.0, 1.0) == pytest.approx(0.875, rel=1e-15)
+        assert HalfHarmonic(1.0).potential(1.0) == pytest.approx(0.875, rel=1e-15)
 
     def test_value_at_half(self):
-        assert half_ho_potential(0.5, 1.0) == pytest.approx(1.625, rel=1e-15)
+        assert HalfHarmonic(1.0).potential(0.5) == pytest.approx(1.625, rel=1e-15)
 
     def test_diverges_at_origin(self):
-        assert half_ho_potential(1e-12, 1.0) > 1e20
+        assert HalfHarmonic(1.0).potential(1e-12) > 1e20
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            half_ho_potential(0.0, 1.0)
+            HalfHarmonic(1.0).potential(0.0)
         with pytest.raises(DomainError):
-            half_ho_potential(-1.0, 1.0)
+            HalfHarmonic(1.0).potential(-1.0)
 
 
 class TestAntiBoxPotential:
     def test_no_pull(self):
-        assert anti_box_potential(2.0, GEOM, 0.0) == pytest.approx(1.0, rel=1e-14)
+        assert AntiBox(GEOM, 0.0).potential(2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_with_pull(self):
-        assert anti_box_potential(2.0, GEOM, 1.0) == pytest.approx(1.5, rel=1e-14)
+        assert AntiBox(GEOM, 1.0).potential(2.0) == pytest.approx(1.5, rel=1e-14)
 
     def test_far_field_decay(self):
         x = 1e4
-        assert anti_box_potential(x, GEOM, 0.0) == pytest.approx(2.0 / x**2, rel=1e-3)
+        assert AntiBox(GEOM, 0.0).potential(x) == pytest.approx(2.0 / x**2, rel=1e-3)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            anti_box_potential(0.5, GEOM, 0.0)
+            AntiBox(GEOM, 0.0).potential(0.5)
         with pytest.raises(DomainError):
-            anti_box_potential(1.0, GEOM, 0.0)
+            AntiBox(GEOM, 0.0).potential(1.0)
 
 
 class TestBoundaryAsymptoticRatio:
@@ -125,13 +124,13 @@ class TestSingularityMetadata:
         for loc, coeff, expo in meta:
             s = 1e-7 * abs(loc)
             x = loc - math.copysign(s, loc)
-            assert s**2 * aq_box_potential(x, BoxGeometry(2.0, 1.0)) == pytest.approx(coeff, rel=1e-5)
+            assert s**2 * AqBox(BoxGeometry(2.0, 1.0)).potential(x) == pytest.approx(coeff, rel=1e-5)
 
     def test_half_harmonic(self):
         meta = singularity_metadata(HalfHarmonic(1.0))
         assert meta == ((0.0, 0.375, -2),)
         s = 1e-7
-        assert s * s * half_ho_potential(s, 1.0) == pytest.approx(0.375, rel=1e-5)
+        assert s * s * HalfHarmonic(1.0).potential(s) == pytest.approx(0.375, rel=1e-5)
 
     def test_unsupported(self):
         with pytest.raises(ModelUnsupported):
@@ -168,11 +167,11 @@ class TestModelPlumbing:
 
     def test_positivity_all_variants(self):
         xs_box = np.linspace(-0.99, 0.99, 101)
-        assert np.all(aq_box_potential(xs_box, GEOM) > 0)
+        assert np.all(AqBox(GEOM).potential(xs_box) > 0)
         xs_half = np.linspace(0.01, 10.0, 101)
-        assert np.all(half_ho_potential(xs_half, 1.0) > 0)
+        assert np.all(HalfHarmonic(1.0).potential(xs_half) > 0)
         xs_out = np.linspace(1.01, 9.0, 101)
-        assert np.all(anti_box_potential(xs_out, GEOM, 0.5) > 0)
+        assert np.all(AntiBox(GEOM, 0.5).potential(xs_out) > 0)
 
     def test_anti_box_validation(self):
         with pytest.raises(ValueError):
@@ -199,7 +198,7 @@ class TestHalfHoClosedForms:
                     return (psi(x + h) - psi(x - h)) / (2 * h)
 
                 def integrand_h(x):
-                    return kappa * dpsi(x) ** 2 + half_ho_potential(x, hbar) * psi(x) ** 2
+                    return kappa * dpsi(x) ** 2 + HalfHarmonic(hbar).potential(x) * psi(x) ** 2
 
                 hi = 10 * math.sqrt(hbar)
                 num, _ = integrate.quad(integrand_h, 1e-6, hi, limit=300)
@@ -210,3 +209,22 @@ class TestHalfHoClosedForms:
         val, _ = integrate.quad(lambda x: half_ho_eigenfunction(0, x) * half_ho_eigenfunction(1, x),
                                 1e-8, 12.0, limit=200)
         assert abs(val) < 1e-8
+
+
+class TestLaguerre:
+    def test_degree_zero(self):
+        assert laguerre_eval(1.0, 0, 5.0) == 1.0
+
+    def test_degree_one_root(self):
+        # L_1^(1)(t) = 2 - t
+        assert laguerre_eval(1.0, 1, 2.0) == pytest.approx(0.0, abs=1e-15)
+
+    def test_value_at_zero_is_binomial(self):
+        # L_n^(alpha)(0) = C(n + alpha, n)
+        assert laguerre_eval(1.0, 2, 0.0) == pytest.approx(3.0, abs=1e-14)
+        assert laguerre_eval(1.0, 4, 0.0) == pytest.approx(5.0, abs=1e-13)
+
+    def test_low_degree_closed_forms(self):
+        t = np.linspace(0.0, 6.0, 25)
+        assert laguerre_eval(1.0, 1, t) == pytest.approx(2.0 - t)
+        assert laguerre_eval(1.0, 2, t) == pytest.approx(t * t / 2 - 3 * t + 3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxaffine.quadrature import _legendre_and_derivative, gauss_legendre, laguerre_eval
+from boxaffine.quadrature import _legendre_and_derivative, gauss_legendre
 
 
 def analytic_monomial_integral(k):
@@ -76,22 +76,3 @@ class TestLegendre:
         p, dp = legendre(2, 0.5)
         assert p[0] == pytest.approx(-0.125, abs=1e-15)
         assert dp[0] == pytest.approx(1.5, abs=1e-14)
-
-
-class TestLaguerre:
-    def test_degree_zero(self):
-        assert laguerre_eval(1.0, 0, 5.0) == 1.0
-
-    def test_degree_one_root(self):
-        # L_1^(1)(t) = 2 - t
-        assert laguerre_eval(1.0, 1, 2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_value_at_zero_is_binomial(self):
-        # L_n^(alpha)(0) = C(n + alpha, n)
-        assert laguerre_eval(1.0, 2, 0.0) == pytest.approx(3.0, abs=1e-14)
-        assert laguerre_eval(1.0, 4, 0.0) == pytest.approx(5.0, abs=1e-13)
-
-    def test_low_degree_closed_forms(self):
-        t = np.linspace(0.0, 6.0, 25)
-        assert laguerre_eval(1.0, 1, t) == pytest.approx(2.0 - t)
-        assert laguerre_eval(1.0, 2, t) == pytest.approx(t * t / 2 - 3 * t + 3)

@@ -9,9 +9,9 @@ from scipy.special import eval_gegenbauer, pro_cv
 from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
 from boxaffine.potentials import AqBox, CqBox, HalfHarmonic, ModelUnsupported, evaluate_potential
 from boxaffine.quadrature import gauss_legendre
-from boxaffine.ritz import (BasisSpec, GeneralizedEigProblem, NoConvergence,
-                            NotPositiveDefinite, _sample, assemble_matrices, basis_for,
-                            compute_spectrum, convergence_sweep, solve_generalized_symmetric)
+from boxaffine.ritz import (GeneralizedEigProblem, NoConvergence, NotPositiveDefinite, _sample,
+                            assemble_matrices, compute_spectrum, convergence_sweep,
+                            solve_generalized_symmetric)
 
 GEOM = BoxGeometry(1.0, 1.0)
 AQ = AqBox(GEOM)
@@ -29,12 +29,12 @@ def random_problem(rng, n):
 class TestAssembly:
     def test_dirichlet_rayleigh_quotient(self):
         # chi_0 = 1 - x^2: hand integration gives (8/3) / (16/15) = 2.5
-        prob = assemble_matrices(CQ, BasisSpec(1, 1.0, GEOM))
+        prob = assemble_matrices(CQ, 1)
         assert prob.H[0, 0] / prob.S[0, 0] == pytest.approx(2.5, rel=1e-14)
 
     def test_parity_block_structure(self):
         for model in (CQ, AQ):
-            prob = assemble_matrices(model, basis_for(model, 12))
+            prob = assemble_matrices(model, 12)
             j = np.arange(12)
             odd = (j[:, None] + j[None, :]) % 2 == 1
             assert np.all(prob.H[odd] == 0.0)
@@ -42,38 +42,30 @@ class TestAssembly:
 
     def test_symmetry_and_spd(self):
         for model in (CQ, AQ):
-            prob = assemble_matrices(model, basis_for(model, 16))
+            prob = assemble_matrices(model, 16)
             assert np.array_equal(prob.H, prob.H.T)
             assert np.array_equal(prob.S, prob.S.T)
             assert np.all(np.linalg.eigvalsh(prob.S) > 0)
 
     def test_singular_wall_quotient_is_upper_bound(self):
-        prob = assemble_matrices(AQ, BasisSpec(1, 1.5, GEOM))
+        prob = assemble_matrices(AQ, 1)
         e0 = compute_spectrum(AQ, 32).eigenvalues[0]
         assert prob.H[0, 0] / prob.S[0, 0] >= e0
 
     def test_unsupported_models(self):
-        with pytest.raises(ModelUnsupported):
-            basis_for(HalfHarmonic(1.0), 8)
-
-    def test_basis_must_match_model(self):
-        # the closed-form pencil holds only in the basis matched to the walls and box
-        with pytest.raises(ValueError):
-            assemble_matrices(CQ, BasisSpec(4, 1.5, GEOM))
-        with pytest.raises(ValueError):
-            assemble_matrices(AQ, BasisSpec(4, 1.0, GEOM))
-        with pytest.raises(ValueError):
-            assemble_matrices(AQ, BasisSpec(4, 1.5, BoxGeometry(2.0, 1.0)))
-        with pytest.raises(ModelUnsupported):
-            assemble_matrices(HalfHarmonic(1.0), BasisSpec(4, 1.5, GEOM))
+        # the weighted basis needs alike walls at both ends of a box
+        for solve in (assemble_matrices, compute_spectrum,
+                      lambda model, n: convergence_sweep(model, (n,), 4)):
+            with pytest.raises(ModelUnsupported):
+                solve(HalfHarmonic(1.0), 8)
 
     def test_basis_validation(self):
-        with pytest.raises(ValueError):
-            BasisSpec(0, 1.0, GEOM)
-        with pytest.raises(ValueError):
-            BasisSpec(65, 1.5, GEOM)
-        with pytest.raises(ValueError):
-            BasisSpec(8, 2.0, GEOM)
+        for model in (CQ, AQ):
+            for n in (0, 65):
+                for solve in (assemble_matrices, compute_spectrum,
+                              lambda model, n: convergence_sweep(model, (n,), 0)):
+                    with pytest.raises(ValueError, match="basis size"):
+                        solve(model, n)
 
 
 class TestGegenbauer:
@@ -86,7 +78,7 @@ class TestGegenbauer:
         rule = gauss_legendre(70)
         t, wq = rule.nodes, rule.weights
         for w in (1.0, 1.5):
-            _, C = _sample(BasisSpec(64, w, GEOM), t)
+            _, C = _sample(w, 64, t)
             gram = np.einsum("i,ji,ki->jk", wq * (1.0 - t * t) ** (2 * w - 1), C, C)
             assert np.max(np.abs(gram - np.eye(64))) <= 1e-12
 
@@ -96,7 +88,7 @@ class TestGegenbauer:
         t = np.linspace(-1.0, 1.0, 41)
         for w in (1.0, 1.5):
             lam = 2 * w - 0.5
-            _, C = _sample(BasisSpec(64, w, GEOM), t)
+            _, C = _sample(w, 64, t)
             for n in (0, 1, 2, 7, 31, 63):
                 h = (2.0 ** (1 - 2 * lam) * math.pi * math.gamma(n + 2 * lam)
                      / ((n + lam) * math.gamma(lam) ** 2 * math.factorial(n)))
@@ -225,7 +217,7 @@ class TestSpectrum:
 
     def test_s_orthonormal_coefficients(self):
         spec = compute_spectrum(AQ, 24)
-        prob = assemble_matrices(AQ, basis_for(AQ, 24))
+        prob = assemble_matrices(AQ, spec.basis)
         gram = spec.coefficients.T @ prob.S @ spec.coefficients
         assert np.max(np.abs(gram - np.eye(24))) <= 1e-10
 
@@ -276,9 +268,9 @@ def test_parity_blocks_solve_the_dense_pencil(cls, b, hbar):
     # to ~3e-14
     model = cls(BoxGeometry(b, hbar))
     for n in range(1, 65):
-        prob = assemble_matrices(model, basis_for(model, n))
-        ref, _ = solve_generalized_symmetric(prob)
         spec = compute_spectrum(model, n)
+        prob = assemble_matrices(model, spec.basis)
+        ref, _ = solve_generalized_symmetric(prob)
         energies, vecs = spec.eigenvalues, spec.coefficients
         rel = np.abs(energies - ref) / ref
         assert np.max(rel[:12]) <= 1e-14
@@ -341,6 +333,7 @@ class TestConvergenceSweep:
         assert col[-1] == pytest.approx(e1, rel=1e-10)
 
     def test_sizes_must_ascend(self):
-        with pytest.raises(ValueError):
-            convergence_sweep(AQ, (16, 8), 4)
+        for sizes in ((16, 8), ()):
+            with pytest.raises(ValueError):
+                convergence_sweep(AQ, sizes, 4)
 

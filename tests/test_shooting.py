@@ -16,8 +16,8 @@ from boxaffine import cli, shooting
 from boxaffine.boxmodes import count_nodes
 from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, PROBE_GRID_SIZE,
                                 SERIES_FRAC, BracketFailure, _end, _End, _grid, _launch, _newton,
-                                _numerov, _numerov_t, _phase, _prefix, _prefixes, _probe, _setup,
-                                _start, _sweep, _turns, boundary_exponent_probe, eigenvalue_search,
+                                _numerov, _numerov_t, _phase, _prefix, _probe, _setup, _start,
+                                _sweep, _turns, boundary_exponent_probe, eigenvalue_search,
                                 numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
@@ -410,19 +410,6 @@ class TestCountingPhase:
         for value in (1e-20, 1e-300, 0.0, -0.0, -1e-300, -1e-20):
             psi = np.array([0.0, 1.0, 2.0, 1.0, value, -1.0])
             assert _turns(psi, np.zeros(6), 4, 1.0, _prefix(psi, 4))[0] == 1.0
-
-    def test_adjacent_prefixes_count_as_whole_ones(self):
-        # an even grid's two match points share one count: the later prefix
-        # adds one point, with zeros skipped as count_nodes skips them
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            psi = rng.choice([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0], size=9)
-            for i in range(1, 8):
-                for j in (i - 1, i, i + 1):
-                    got = _prefixes(psi, i, j)
-                    ref = (_prefix(psi, i), _prefix(psi, j))
-                    assert [p[0] for p in got] == [p[0] for p in ref]
-                    assert np.allclose([p[1] for p in got], [p[1] for p in ref], rtol=1e-15, atol=0.0)
 
     @SIZES
     @MODELS
