@@ -15,7 +15,7 @@ from .piecewise import (DeltaTerm, Piece, PiecewiseSmooth, WeakDerivative,
                         weak_derivative, weak_second_derivative)
 from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, boundary_asymptotic_ratio,
                          evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue,
-                         laguerre_eval, singularity_metadata)
+                         singularity_metadata)
 from .quadrature import QuadratureRule, gauss_legendre
 from .ritz import (GeneralizedEigProblem, SpectrumResult, assemble_matrices, compute_spectrum,
                    convergence_sweep, solve_generalized_symmetric)
@@ -32,7 +32,7 @@ __all__ = [
     "flat_ramp",
     "CqBox", "AqBox", "HalfHarmonic", "AntiBox",
     "boundary_asymptotic_ratio", "singularity_metadata", "evaluate_potential",
-    "half_ho_eigenvalue", "half_ho_eigenfunction", "laguerre_eval",
+    "half_ho_eigenvalue", "half_ho_eigenfunction",
     "QuadratureRule", "gauss_legendre",
     "GeneralizedEigProblem", "SpectrumResult", "assemble_matrices",
     "solve_generalized_symmetric", "compute_spectrum", "convergence_sweep",

@@ -32,7 +32,6 @@ from .piecewise import (QuadratureFailure, discrete_second_derivative_norm, flat
                         l2_norm_squared, weak_second_derivative)
 from .potentials import (DIRICHLET, AntiBox, AqBox, CqBox, DomainError, HalfHarmonic,
                          ModelUnsupported, boundary_asymptotic_ratio, evaluate_potential)
-from .quadrature import ConvergenceFailure
 
 SCHEMA_VERSION = "boxaffine/1"
 AGREEMENT_THRESHOLD = 1e-5
@@ -49,8 +48,7 @@ EXIT_DISAGREE = 3
 EXIT_SOLVER = 4
 
 SOLVER_ERRORS = (ritz.NotPositiveDefinite, ritz.NoConvergence, shooting.BracketFailure,
-                 shooting.FitFailure, QuadratureFailure, ConvergenceFailure,
-                 ModelUnsupported, DomainError)
+                 shooting.FitFailure, QuadratureFailure, ModelUnsupported, DomainError)
 
 
 class UsageError(Exception):
@@ -387,7 +385,10 @@ def run_spectrum(cfg):
     if method in ("shooting", "both"):
         t0 = time.perf_counter()
         if cfg.dump_psi:
-            os.makedirs(cfg.dump_psi, exist_ok=True)
+            try:
+                os.makedirs(cfg.dump_psi, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"--dump-psi: cannot make {cfg.dump_psi}: {exc}")
         sh_energies, sh_levels = [], []
         for k in range(cfg.levels):
             energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid_size=cfg.grid_size)
@@ -400,11 +401,9 @@ def run_spectrum(cfg):
                 sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
                                                shooting.boundary_exponent_probe(model, energy)))
             if cfg.dump_psi:
-                path = os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv")
-                with open(path, "w") as fh:
-                    fh.write("x,psi\n")
-                    for x, p in zip(shot.xs, shot.psi):
-                        fh.write(f"{float(x)!r},{float(p)!r}\n")
+                _write("dump-psi", os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv"),
+                       "x,psi\n" + "".join(f"{float(x)!r},{float(p)!r}\n"
+                                            for x, p in zip(shot.xs, shot.psi)))
         timings["shooting_s"] = time.perf_counter() - t0
 
     levels = []
@@ -554,6 +553,14 @@ def _convergence_csv(report):
                             for n, row in zip(conv["sizes"], conv["energies"])])
 
 
+def _write(flag, path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--{flag}: cannot write {path}: {exc}")
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # each report command's runner and CSV writer; built per call, so the
@@ -572,8 +579,7 @@ def main(argv=None):
         report, code = run(cfg)
         text = report_to_json(report) if cfg.fmt == "json" else to_csv(report)
         if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(text)
+            _write("out", cfg.out, text)
         else:
             sys.stdout.write(text)
         return code

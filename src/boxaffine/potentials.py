@@ -196,23 +196,6 @@ def half_ho_eigenvalue(k, hbar=1.0):
     return 2.0 * hbar * (k + 1)
 
 
-def laguerre_eval(alpha, n, t):
-    """Generalized Laguerre polynomial L_n^{(alpha)}(t), alpha > -1, t >= 0."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if alpha <= -1:
-        raise ValueError("alpha must be > -1")
-    t = np.asarray(t, dtype=float)
-    p_prev = np.ones_like(t)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = 1.0 + alpha - t
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + alpha - t) * p - (k + alpha) * p_prev) / (k + 1), p
-    p = np.asarray(p, dtype=float)
-    return p if p.ndim else float(p)
-
-
 def half_ho_eigenfunction(k, x, hbar=1.0):
     """Unnormalized closed-form eigenfunction
     x^{3/2} L_k^{(1)}(x^2/hbar) exp(-x^2 / 2 hbar) on x > 0."""
@@ -221,6 +204,8 @@ def half_ho_eigenfunction(k, x, hbar=1.0):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("half_ho_eigenfunction requires x > 0")
+    from numpy.polynomial.laguerre import lagval  # deferred: ~3 ms, else loaded by sweeps only
     t = x * x / hbar
-    out = x**1.5 * laguerre_eval(1.0, k, t) * np.exp(-0.5 * t)
+    # L_k^{(1)} = L_0 + L_1 + ... + L_k, a Laguerre series of k + 1 ones
+    out = x**1.5 * lagval(t, np.ones(k + 1)) * np.exp(-0.5 * t)
     return float(out) if out.ndim == 0 else out

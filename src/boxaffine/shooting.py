@@ -332,28 +332,22 @@ def _pruefer(psi, T, i, hk):
     return float(psi[i]), slope
 
 
-def _prefix(psi, i):
-    """Nodes of a branch through index i, and sum_{j<i} psi_j^2."""
-    head = psi[:i]
-    return count_nodes(psi[:i + 1]), float(head @ head)
-
-
-def _turns(psi, T, i, hk, prefix):
+def _turns(psi, T, i, hk):
     """Pruefer angle over pi at index i of a branch swept from its own wall:
     its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
     (sum_{j<i} psi_j^2 + psi_i^2 / 2) / A^2, A^2 = psi_i^2 + (psi_i'/k)^2,
-    which sets the angle's rate in E.  ``prefix`` is the branch's
-    ``_prefix`` at i.  The fourth-order psi' of ``_pruefer`` makes this rate
-    the derivative of the angle to O(h^4) and not O(h^2).  Any difference
-    of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of Theta: the
-    Numerov Wronskian of two branches is constant across i."""
-    nodes, mass = prefix
+    which sets the angle's rate in E.  The fourth-order psi' of ``_pruefer``
+    makes this rate the derivative of the angle to O(h^4) and not O(h^2).
+    Any difference of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of
+    Theta: the Numerov Wronskian of two branches is constant across i."""
+    head = psi[:i]
+    mass = float(head @ head)
     value, slope = _pruefer(psi, T, i, hk)
     weight = (mass + 0.5 * value * value) / (value * value + slope * slope)
     # the angle mod pi, taken in [0, pi] from the sign of psi_i that the count
     # sees, so that a count and an angle rounded to a multiple of pi agree
     phi = math.atan2(abs(value), slope if value > 0.0 else -slope) if value else math.pi
-    return nodes + phi / math.pi, weight
+    return count_nodes(psi[:i + 1]) + phi / math.pi, weight
 
 
 def _phase(setup, E):
@@ -373,8 +367,8 @@ def _phase(setup, E):
     if E not in setup.phases:
         left, right, k = _branches(setup, E)
         h = setup.h
-        turns_l = _turns(*left, h * k, _prefix(left[0], left[2]))
-        turns_r = turns_l if right is left else _turns(*right, h * k, _prefix(right[0], right[2]))
+        turns_l = _turns(*left, h * k)
+        turns_r = turns_l if right is left else _turns(*right, h * k)
         setup.phases[E] = (turns_l[0] + turns_r[0],
                            h * (turns_l[1] + turns_r[1]) / (math.pi * setup.model.kappa * k))
     return setup.phases[E]

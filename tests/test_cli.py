@@ -291,6 +291,19 @@ class TestSpectrum:
         assert code == 2 and "--dump-psi" in err
         assert out == "" and not dest.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--dump-psi"])
+    def test_write_failure_is_usage_error(self, tmp_path, flag):
+        # --out into a missing directory, --dump-psi onto a file: one error
+        # line and exit 2, not an OSError traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        dest = {"--out": tmp_path / "missing" / "r.json", "--dump-psi": taken}[flag]
+        run = run_cli_process("spectrum", "--model", "cq-box", "--levels", "2", "--method",
+                              "shooting", flag, str(dest))
+        assert run.returncode == 2 and run.stdout == ""
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: cannot ")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--model", "cq-box", "--levels", "2",
                                "--method", "rayleigh-ritz", "--format", "csv")
@@ -396,10 +409,14 @@ def test_spectrum_run_leaves_scipy_optimize_unloaded():
 def test_only_a_sweep_loads_scipy_linalg():
     # Ritz runs on numpy alone and shooting imports LAPACK on its first
     # sweep, so a command that sweeps nothing never pays scipy.linalg's
-    # ~0.24 s and ~27 MB; --method both sweeps, and is the control
+    # ~0.24 s and ~27 MB, nor numpy.polynomial, which scipy.linalg loads and
+    # the Gauss-Legendre rule and the half-line eigenfunction import where
+    # they run; --method both sweeps, and is the control
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
     code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
-            "print('import', 'scipy.linalg' in sys.modules)\n"
+            "def loaded():\n"
+            "    return ['scipy.linalg' in sys.modules, 'numpy.polynomial' in sys.modules]\n"
+            "print('import', *loaded())\n"
             "for argv in (['potential', '--model', 'aq-box'],\n"
             "             ['check-derivatives', '--target', 'cq-eigenfunction', '--n', '2'],\n"
             "             ['convergence', '--model', 'aq-box'],\n"
@@ -407,12 +424,13 @@ def test_only_a_sweep_loads_scipy_linalg():
             "             ['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        rc = cli.main(argv)\n"
-            "    print(argv[0], rc, 'scipy.linalg' in sys.modules)\n")
+            "    print(argv[0], rc, *loaded())\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
-    assert out.split("\n")[:-1] == ["import False", "potential 0 False",
-                                    "check-derivatives 0 False", "convergence 0 False",
-                                    "spectrum 0 False", "spectrum 0 True"]
+    assert out.split("\n")[:-1] == ["import False False", "potential 0 False False",
+                                    "check-derivatives 0 False False",
+                                    "convergence 0 False False", "spectrum 0 False False",
+                                    "spectrum 0 True True"]
 
 
 def test_python_m_boxaffine_runs_the_cli():

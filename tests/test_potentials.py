@@ -8,9 +8,14 @@ from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import (DIRICHLET, INVERSE_SQUARE, AntiBox, AqBox, CqBox, DomainError,
                                   HalfHarmonic, ModelUnsupported, boundary_asymptotic_ratio,
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue,
-                                  laguerre_eval, singularity_metadata)
+                                  singularity_metadata)
 
 GEOM = BoxGeometry(1.0, 1.0)
+# L_k^{(1)}(t) = sum_i (-1)^i C(k + 1, k - i) t^i / i!
+LAGUERRE_1 = {0: lambda t: np.ones_like(t),
+              1: lambda t: 2.0 - t,
+              2: lambda t: t * t / 2 - 3 * t + 3,
+              4: lambda t: t**4 / 24 - 5 * t**3 / 6 + 5 * t * t - 10 * t + 5}
 
 
 class TestAqBoxPotential:
@@ -210,21 +215,13 @@ class TestHalfHoClosedForms:
                                 1e-8, 12.0, limit=200)
         assert abs(val) < 1e-8
 
-
-class TestLaguerre:
-    def test_degree_zero(self):
-        assert laguerre_eval(1.0, 0, 5.0) == 1.0
-
-    def test_degree_one_root(self):
-        # L_1^(1)(t) = 2 - t
-        assert laguerre_eval(1.0, 1, 2.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_value_at_zero_is_binomial(self):
-        # L_n^(alpha)(0) = C(n + alpha, n)
-        assert laguerre_eval(1.0, 2, 0.0) == pytest.approx(3.0, abs=1e-14)
-        assert laguerre_eval(1.0, 4, 0.0) == pytest.approx(5.0, abs=1e-13)
-
-    def test_low_degree_closed_forms(self):
-        t = np.linspace(0.0, 6.0, 25)
-        assert laguerre_eval(1.0, 1, t) == pytest.approx(2.0 - t)
-        assert laguerre_eval(1.0, 2, t) == pytest.approx(t * t / 2 - 3 * t + 3)
+    @pytest.mark.parametrize("k", sorted(LAGUERRE_1))
+    def test_laguerre_factor(self, k):
+        # psi = x^{3/2} L_k^{(1)}(t) e^{-t/2}, t = x^2/hbar, and psi / x^{3/2}
+        # tends to L_k^{(1)}(0) = k + 1 at the wall
+        hbar = 0.5
+        x = np.linspace(0.05, 2.5, 50)
+        t = x * x / hbar
+        closed = x**1.5 * LAGUERRE_1[k](t) * np.exp(-0.5 * t)
+        assert half_ho_eigenfunction(k, x, hbar) == pytest.approx(closed, rel=1e-12, abs=1e-13)
+        assert half_ho_eigenfunction(k, 1e-6, hbar) / 1e-6**1.5 == pytest.approx(k + 1, rel=1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from boxaffine.quadrature import _legendre_and_derivative, gauss_legendre
+from boxaffine.quadrature import gauss_legendre
 
 
 def analytic_monomial_integral(k):
@@ -57,22 +57,3 @@ class TestGaussLegendre:
         rule = gauss_legendre(8)
         assert rule.integrate(lambda x: x * x, 0.0, 3.0) == pytest.approx(9.0, rel=1e-14)
 
-
-def legendre(k, t):
-    """P_k and P'_k at the points t, from the recurrence that Newton uses
-    to refine the Gauss-Legendre nodes."""
-    return _legendre_and_derivative(k, np.atleast_1d(np.asarray(t, dtype=float)))
-
-
-class TestLegendre:
-    def test_degree_zero_and_one(self):
-        assert legendre(0, 0.77)[0][0] == 1.0
-        assert legendre(0, 0.77)[1][0] == 0.0
-        assert legendre(1, 0.3)[0][0] == pytest.approx(0.3)
-        assert legendre(1, 0.3)[1][0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_degree_two_value(self):
-        # recurrence: (3 * 0.25 - 1) / 2; derivative 3 t
-        p, dp = legendre(2, 0.5)
-        assert p[0] == pytest.approx(-0.125, abs=1e-15)
-        assert dp[0] == pytest.approx(1.5, abs=1e-14)

@@ -16,7 +16,7 @@ from boxaffine import cli, shooting
 from boxaffine.boxmodes import count_nodes
 from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, PROBE_GRID_SIZE,
                                 SERIES_FRAC, BracketFailure, _end, _End, _grid, _launch, _newton,
-                                _numerov, _numerov_t, _phase, _prefix, _probe, _setup, _start,
+                                _numerov, _numerov_t, _phase, _probe, _setup, _start,
                                 _sweep, _turns, boundary_exponent_probe, eigenvalue_search,
                                 numerov_integrate, wavefunction)
 
@@ -409,7 +409,7 @@ class TestCountingPhase:
         # made one turn.  psi' < 0 there, so psi_i > 0 has not yet crossed
         for value in (1e-20, 1e-300, 0.0, -0.0, -1e-300, -1e-20):
             psi = np.array([0.0, 1.0, 2.0, 1.0, value, -1.0])
-            assert _turns(psi, np.zeros(6), 4, 1.0, _prefix(psi, 4))[0] == 1.0
+            assert _turns(psi, np.zeros(6), 4, 1.0)[0] == 1.0
 
     @SIZES
     @MODELS
