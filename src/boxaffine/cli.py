@@ -323,6 +323,18 @@ def parse_config(argv):
     ignored = sorted(given & cfg.unread_keys())
     if ignored:
         raise UsageError(f"{', '.join('--' + k for k in ignored)}: not read by this `{cfg.command}` run")
+    if cfg.out:
+        # before the run, so no solve is thrown away; the file is opened only
+        # after it, so an old report is not truncated by a run that fails.
+        # open(path, "w") needs a writable file, or a writable folder for a
+        # new one, and no more
+        if os.path.exists(cfg.out):
+            if os.path.isdir(cfg.out) or not os.access(cfg.out, os.W_OK):
+                raise UsageError(f"--out: cannot write {cfg.out}: not a writable file")
+        else:
+            folder = os.path.dirname(cfg.out) or "."
+            if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise UsageError(f"--out: cannot write {cfg.out}: {folder} is not a writable directory")
     return cfg
 
 

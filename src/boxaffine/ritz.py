@@ -249,13 +249,19 @@ def compute_spectrum(model, n_basis, n_diagnostics=None):
     om, om_fit, C, C_fit = om[:t.size], om[t.size:], C[:, :t.size], C[:, t.size:]
     interior = np.abs(t) <= 1.0 - 1e-2
 
-    # one row per diagnosed level
+    # one row per diagnosed level.  The basis enters only through three
+    # products, so C (about 1 MB at n = 64) is dropped before the per-level
+    # arrays are formed: a call's heap then peaks well below twice its
+    # largest array, and glibc's malloc keeps the freed heap for the next
+    # call instead of handing it back and faulting it in again
     v = vecs[:, :count]
     energies = evals[:count]
-    F = v.T @ C
+    fit = v.T @ (om_fit**w * C_fit)
+    F, G = v.T @ C, (v.T * mu) @ C
+    del C, C_fit
     psi = om**w * F
-    slopes = np.polyfit(np.log(s_fit), np.log(np.abs(v.T @ (om_fit**w * C_fit))).T, 1)[0]
-    defect = scale * om ** (w - 1.0) * ((v.T * mu) @ C - (energies / scale)[:, None] * om * F)
+    slopes = np.polyfit(np.log(s_fit), np.log(np.abs(fit)).T, 1)[0]
+    defect = scale * om ** (w - 1.0) * (G - (energies / scale)[:, None] * om * F)
     residuals = (np.max(np.abs(defect[:, interior]), axis=1)
                  / (np.abs(energies) * np.max(np.abs(psi), axis=1)))
 

@@ -9,12 +9,14 @@ branches' Pruefer angles at the match point, each counted from its own
 wall, sum to a continuous counting phase Theta(E) whose floor is the number
 of levels below E, and level k is the root of Theta = k + 1 (the Pruefer
 counting of SLEIGN2 and of Pryce 1993, ch. 5).  The sweep that gives Theta
-also gives dTheta/dE by the Wronskian identity, so each level is found by a
-safeguarded Newton iteration.  The final shot at a level takes the same
-branches, scales the right one to the left by their Pruefer vectors at the
-match point and joins them there; on a mirror-symmetric model the sign of
-that scale is the parity.  Fully independent of the variational solver,
-which it cross-checks.
+also gives dTheta/dE, at every energy and not only at the roots, by the
+Wronskian identity with the terms that cancel at a root kept in, so each
+level is found by a safeguarded Newton iteration, started from the
+quadratic in sqrt(E) through the last three probes of a doubling scan.
+The final shot at a level takes the same branches, scales the right one to
+the left by their Pruefer vectors at the match point and joins them there;
+on a mirror-symmetric model the sign of that scale is the parity.  Fully
+independent of the variational solver, which it cross-checks.
 
 A Dirichlet end starts from the pair (0, h).  At an inverse-square wall the
 sweep plants the regular Frobenius solution s^{3/2} sum a_n u^n, with s the
@@ -334,20 +336,25 @@ def _pruefer(psi, T, i, hk):
 
 def _turns(psi, T, i, hk):
     """Pruefer angle over pi at index i of a branch swept from its own wall:
-    its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the sum
-    (sum_{j<i} psi_j^2 + psi_i^2 / 2) / A^2, A^2 = psi_i^2 + (psi_i'/k)^2,
-    which sets the angle's rate in E.  The fourth-order psi' of ``_pruefer``
-    makes this rate the derivative of the angle to O(h^4) and not O(h^2).
+    its nodes through i plus (atan2(psi, psi'/k) mod pi) / pi.  Also the two
+    weights of the angle's rate in E (``_phase``), each over
+    A^2 = psi_i^2 + (psi_i'/k)^2: the mass int_wall^i psi^2 / h, summed by
+    the trapezoid rule with its Euler-Maclaurin end term,
+    sum_{j<i} psi_j^2 + psi_i^2 / 2 - (h k / 6) psi_i psi_i'/k, since
+    (psi^2)' = 2 psi psi' and vanishes at the wall; and the tilt
+    psi_i psi_i'/k, which carries dk/dE.  The end term lifts the mass from
+    second to fourth order, the order of the psi' of ``_pruefer``.
     Any difference of psi_{i-1}, psi_i, psi_{i+1} gives the same roots of
     Theta: the Numerov Wronskian of two branches is constant across i."""
     head = psi[:i]
-    mass = float(head @ head)
     value, slope = _pruefer(psi, T, i, hk)
-    weight = (mass + 0.5 * value * value) / (value * value + slope * slope)
+    tilt = value * slope
+    amplitude = value * value + slope * slope
+    mass = float(head @ head) + 0.5 * value * value - hk / 6.0 * tilt
     # the angle mod pi, taken in [0, pi] from the sign of psi_i that the count
     # sees, so that a count and an angle rounded to a multiple of pi agree
     phi = math.atan2(abs(value), slope if value > 0.0 else -slope) if value else math.pi
-    return count_nodes(psi[:i + 1]) + phi / math.pi, weight
+    return count_nodes(psi[:i + 1]) + phi / math.pi, mass / amplitude, tilt / amplitude
 
 
 def _phase(setup, E):
@@ -361,31 +368,57 @@ def _phase(setup, E):
     of Theta = k + 1, where the two Pruefer vectors are parallel whatever
     k.  By the Wronskian identity
     kappa (psi_E psi' - psi psi_E')(m) = int_wall^m psi^2, each angle moves at
-    int psi^2 / (kappa k A^2); the term from dk/dE is left out, as it cancels
-    between the branches at every root.
+    int psi^2 / (kappa k A^2) + tilt k'(E) / k, tilt = psi psi'/k / A^2, from
+    the scale k = sqrt(|E - V_m| / kappa) of psi'/k: k'(E) =
+    sign(E - V_m) / (2 kappa k), and 0 where k takes its energy-scale floor.
+    The tilts and the masses' end terms cancel between the branches at
+    every root, so they leave the rate at a level as it is and make it the
+    derivative of Theta between the levels too, where Newton starts.
     """
     if E not in setup.phases:
         left, right, k = _branches(setup, E)
-        h = setup.h
+        model, h = setup.model, setup.h
         turns_l = _turns(*left, h * k)
         turns_r = turns_l if right is left else _turns(*right, h * k)
+        gap = E - float(setup.V[setup.match])
+        dk = math.copysign(1.0, gap) / (2.0 * model.kappa * k) if abs(gap) > model.energy_scale else 0.0
         setup.phases[E] = (turns_l[0] + turns_r[0],
-                           h * (turns_l[1] + turns_r[1]) / (math.pi * setup.model.kappa * k))
+                           (h * (turns_l[1] + turns_r[1]) / (model.kappa * k)
+                            + (turns_l[2] + turns_r[2]) * dk / k) / math.pi)
     return setup.phases[E]
 
 
-def _newton(f, target, lo, hi, f_lo, f_hi, width):
+def _newton(f, target, lo, hi, f_lo, f_hi, width, prev=None):
     """Root of f(E) = target in [lo, hi], where f_lo < target <= f_hi and f
     is increasing and returns (value, derivative).
 
-    Newton steps in sqrt(E) start from the linear interpolant in sqrt(E)
-    between the ends.  Each value narrows the bracket, and a step that would
-    leave it bisects it instead.  The search stops once a Newton step is at
-    most width / 2 and returns where that step lands, or once the bracket is
-    at most width wide and returns its midpoint.
+    Newton steps in sqrt(E) start from the increasing root in the bracket
+    of the quadratic in sqrt(E) through prev = (E, f(E)), a point below lo,
+    and the two ends (a Muller step; Brent 1973, ch. 4, interpolates the
+    inverse instead); without prev, or without such a root, from the linear
+    interpolant in sqrt(E) between the ends.  Each value narrows the
+    bracket, and a step that would leave it bisects it instead.  The search
+    stops once a Newton step is at most width / 2 and returns where that
+    step lands, or once the bracket is at most width wide and returns its
+    midpoint.
     """
     s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
-    E = (s_lo + (target - f_lo) / (f_hi - f_lo) * (s_hi - s_lo)) ** 2
+    span, rise = s_hi - s_lo, target - f_lo
+    secant = (f_hi - f_lo) / span
+    step = rise / secant
+    if prev is not None:
+        s_prev = math.sqrt(prev[0])
+        # f_lo + secant t + curve t (t - span), t = sqrt(E) - s_lo, meets prev;
+        # with b its linear coefficient, f = target where it rises at
+        # t = 2 rise / (b + sqrt(b^2 + 4 curve rise))
+        curve = (secant - (f_lo - prev[1]) / (s_lo - s_prev)) / (s_hi - s_prev)
+        b = secant - curve * span
+        disc = b * b + 4.0 * curve * rise
+        if disc > 0.0 and b + math.sqrt(disc) > 0.0:
+            root = 2.0 * rise / (b + math.sqrt(disc))
+            if root <= span:
+                step = root
+    E = (s_lo + step) ** 2
     while True:
         value, slope = f(E)
         if value < target:
@@ -434,10 +467,14 @@ def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
     counting phase of ``_phase``.  A doubling scan from the energy scale
     finds the first point where Theta >= k + 1, its last probe the ceiling
     E_MAX_FACTOR * energy_scale itself; its probes are memoised per
-    (model, grid_size), so the levels of one spectrum share them.  Newton steps
-    in sqrt(E) on Theta then start from the linear interpolant between that
-    point and the one before it (``_newton``), bisecting whenever a step
-    would leave the bracket that this level's own values of Theta narrow.
+    (model, grid_size), so the levels of one spectrum share them.  Newton
+    steps in sqrt(E) on Theta then start from the quadratic in sqrt(E)
+    through that point and the two probes before it, or from the linear
+    interpolant through that point and the one before it where the scan
+    has only those two (``_newton``), bisecting whenever a step would leave
+    the bracket that this level's own values of Theta narrow.  The start
+    takes only this level's own scan probes, so a level does not depend on
+    what the memo holds.
     The search stops once a Newton step is at most half the width and
     returns where that step lands: the step is the distance to the root up
     to a second-order term, so the result lies within the width of it,
@@ -453,17 +490,19 @@ def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
     e_max = E_MAX_FACTOR * scale
     target = k + 1
 
-    lo, hi = 0.0, scale
+    lo, hi, prev = 0.0, scale, None
     theta_lo, theta_hi = 0.0, _phase(setup, hi)[0]  # Theta >= 0, and lo = 0 lies below every level
     while theta_hi < target:
         if hi >= e_max:
             raise BracketFailure(
                 f"level {k}: node transition not found below {e_max:.3g} "
                 f"(upper side reached the ceiling)")
+        prev = (lo, theta_lo) if lo else None  # lo = 0 is no probe
         lo, theta_lo = hi, theta_hi
         hi = min(2.0 * hi, e_max)
         theta_hi = _phase(setup, hi)[0]
-    return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi, tol * scale)
+    return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi,
+                   tol * scale, prev)
 
 
 def wavefunction(model, E, grid_size=GRID_SIZE):

@@ -304,6 +304,35 @@ class TestSpectrum:
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {flag}: cannot ")
 
+    def test_unwritable_out_fails_before_solving(self, capsys, monkeypatch, tmp_path):
+        # a solve would raise: the missing directory must be caught first
+        def unreached(*args, **kwargs):
+            raise AssertionError("solved before checking --out")
+
+        monkeypatch.setattr(cli.shooting, "eigenvalue_search", unreached)
+        code, out, err = run_cli(capsys, "spectrum", "--model", "aq-box", "--levels", "12",
+                                 "--method", "both", "--out", str(tmp_path / "missing" / "r.json"))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --out: cannot write ")
+
+    def test_out_checks_the_file_not_its_folder(self, capsys, monkeypatch, tmp_path):
+        # an existing writable file is written even where its folder is not
+        # writable (/dev/null for a user other than root); a folder is refused
+        report = tmp_path / "r.json"
+        report.write_text("old")
+        access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: str(path) != str(tmp_path)
+                            and access(path, mode))
+        for dest in (report, os.devnull):
+            code, _, err = run_cli(capsys, "spectrum", "--model", "cq-box", "--levels", "2",
+                                   "--method", "rayleigh-ritz", "--out", str(dest))
+            assert code == 0 and err == ""
+        assert json.loads(report.read_text())["levels"]
+        code, _, err = run_cli(capsys, "spectrum", "--model", "cq-box", "--levels", "2",
+                               "--method", "rayleigh-ritz", "--out", str(tmp_path))
+        assert code == 2 and err.startswith("error: --out: cannot write ")
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--model", "cq-box", "--levels", "2",
                                "--method", "rayleigh-ritz", "--format", "csv")

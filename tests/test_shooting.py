@@ -172,9 +172,10 @@ class TestEigenvalueSearch:
 
     def test_sweeps_per_level(self, monkeypatch):
         # a count, not a timing: 12 levels at the default grid and tol, with
-        # the shared doubling scan and Newton on the counting phase.  Measured
-        # kernel calls and grid lengths per level: aq-box 3.83 and 1.82,
-        # cq-box 1.92 and 0.96, half-ho 6.67 and 3.32 (two calls a phase)
+        # the shared doubling scan and Newton on the counting phase from the
+        # three-point start.  Measured kernel calls and grid lengths per
+        # level: aq-box 3.25 and 1.63, cq-box 1.83 and 0.92, half-ho 3.00 and
+        # 1.50 (two calls a phase)
         calls = []
 
         def counted(T, psi, i0):
@@ -182,13 +183,31 @@ class TestEigenvalueSearch:
             return _numerov(T, psi, i0)
 
         monkeypatch.setattr(shooting, "_numerov", counted)
-        for model, most_calls, most_lengths in ((AQ, 4.25, 2.0), (CQ, 2.5, 1.2), (HO, 7.25, 3.6)):
+        for model, most_calls, most_lengths in ((AQ, 3.35, 1.7), (CQ, 1.95, 0.96), (HO, 3.1, 1.55)):
             _setup.cache_clear()
             calls.clear()
             for k in range(12):
                 eigenvalue_search(model, k, tol=1e-8, grid_size=4001)
             assert len(calls) <= most_calls * 12
             assert sum(calls) <= most_lengths * 4001 * 12
+
+    @pytest.mark.parametrize("power", [0.5, 1.0], ids=["linear-in-sqrt-E", "linear-in-E"])
+    def test_start_on_a_quadratic_in_sqrt_energy(self, power, monkeypatch):
+        # a Theta that the quadratic in sqrt(E) through the scan's last three
+        # probes holds exactly: Newton starts on the root, and one value past
+        # the scan, whose step is below the width, ends the search
+        energies = []
+
+        def theta(setup, E):
+            energies.append(E)
+            return 0.7 * E**power, 0.7 * power * E ** (power - 1.0)
+
+        monkeypatch.setattr(shooting, "_phase", theta)
+        k = 4
+        root = ((k + 1) / 0.7) ** (1.0 / power)
+        assert eigenvalue_search(CQ, k, tol=1e-8) == pytest.approx(root, abs=1e-8)
+        assert energies[:-1] == [2.0**j for j in range(len(energies) - 1)]
+        assert len(energies) >= 4 and math.log2(energies[-1]) % 1.0
 
     def test_two_sided_root_matches_ritz(self):
         # the root of Theta = k + 1 is the two-sided eigenvalue of the grid
@@ -228,7 +247,8 @@ def _two_sided_phase(setup, E):
     # takes it, written out from its definition: n_L + n_R + (phi_L + phi_R)
     # / pi with phi_L = atan2(psi_L, psi_L'/k) mod pi and phi_R =
     # atan2(psi_R, -psi_R'/k) mod pi at the match point, and its rate from
-    # the Wronskian identity; the reference the mirrored form must reproduce.
+    # the Wronskian identity, with the mass's Euler-Maclaurin end term and
+    # the term from dk/dE; the reference the mirrored form must reproduce.
     # A box's setup holds no right end, so the reference builds its own.
     m, model = setup.match, setup.model
     h = setup.h
@@ -239,6 +259,8 @@ def _two_sided_phase(setup, E):
     right_end = _end(model, model.walls[1], ((setup.xs[-1] - setup.xs) + eps)[::-1])
     psi_r = _sweep(_start(setup, right_end, E), right)[::-1]  # psi_r[j] is at xs[m - 1 + j]
     k = math.sqrt(max(abs(E - float(setup.V[m])), model.energy_scale) / model.kappa)
+    gap = E - float(setup.V[m])
+    dk = (1.0 if gap > 0 else -1.0) / (2 * model.kappa * k) if abs(gap) > model.energy_scale else 0.0
 
     def slope(psi, i):  # psi'(x_m), with the O(h^4) Numerov difference
         return ((1 - 2 * T[m + 1]) * psi[i + 1] - (1 - 2 * T[m - 1]) * psi[i - 1]) / (2 * h)
@@ -247,8 +269,10 @@ def _two_sided_phase(setup, E):
     for value, dpsi, nodes, inner in ((psi_l[m], slope(psi_l, m), count_nodes(psi_l[:m + 1]), psi_l[:m]),
                                       (psi_r[1], -slope(psi_r, 1), count_nodes(psi_r[1:]), psi_r[2:])):
         theta += nodes + (math.atan2(value, dpsi / k) % math.pi) / math.pi
-        rate += (inner @ inner + 0.5 * value**2) / (value**2 + (dpsi / k) ** 2)
-    return theta, h * rate / (math.pi * model.kappa * k)
+        # int psi^2 by the trapezoid rule less h^2/12 (psi^2)', (psi^2)' = 2 psi psi'
+        mass = h * (inner @ inner + 0.5 * value**2) - h * h / 6 * value * dpsi
+        rate += (mass / (model.kappa * k) + value * dpsi / k * dk / k) / (value**2 + (dpsi / k) ** 2)
+    return theta, rate / math.pi
 
 
 class TestMirroredWronskian:
@@ -421,6 +445,20 @@ class TestCountingPhase:
             step = 1e-5 * E
             central = (_phase(setup, E + step)[0] - _phase(setup, E - step)[0]) / (2.0 * step)
             assert abs(_phase(setup, E)[1] / central - 1.0) <= 1e-5
+
+    @pytest.mark.parametrize("size", [1000, 4001, 20001])
+    @MODELS
+    def test_derivative_matches_central_difference_between_levels(self, model, size):
+        # midway between levels, where Newton starts.  Without the term from
+        # dk/dE the rate is off by up to 0.5 (aq-box); without the mass's end
+        # term by 8e-6 to 6e-5 at 1000 points; measured <= 1.1e-7 (half-ho, 1000)
+        _setup.cache_clear()
+        setup = _setup(model, size)
+        levels = [eigenvalue_search(model, k, tol=1e-10, grid_size=size) for k in range(8)]
+        for E in 0.5 * (np.array(levels[:-1]) + levels[1:]):
+            step = 1e-5 * E
+            central = (_phase(setup, E + step)[0] - _phase(setup, E - step)[0]) / (2.0 * step)
+            assert abs(_phase(setup, E)[1] / central - 1.0) <= 1e-6
 
     @SIZES
     @MODELS
