@@ -9,7 +9,7 @@ confirming that only half of the cos/sin family survives the walls.
 import numpy as np
 
 from boxaffine import (BoxGeometry, CqBox, classify_trig_modes, compute_spectrum, cq_eigenvalue,
-                       eigenvalue_search)
+                       shooting)
 
 geom = BoxGeometry(b=1.0, hbar=1.0)
 model = CqBox(geom)
@@ -21,12 +21,13 @@ for a, r in zip(accepted, rejected):
 print()
 
 spec = compute_spectrum(model, 32, n_diagnostics=8)
+sh = shooting.spectrum(model, 8, tol=1e-9, grid_size=20001)
 
 print(f"{'n':>3} {'exact':>16} {'variational':>16} {'shooting':>16} {'rel err (var)':>14} {'rel err (sh)':>14}")
 for n in range(1, 9):
     exact = cq_eigenvalue(n, geom)
     e_rr = spec.eigenvalues[n - 1]
-    e_sh = eigenvalue_search(model, n - 1, tol=1e-9, grid_size=20001)
+    e_sh = sh.eigenvalues[n - 1]
     print(f"{n:>3} {exact:16.10f} {e_rr:16.10f} {e_sh:16.10f} "
           f"{abs(e_rr - exact) / exact:14.2e} {abs(e_sh - exact) / exact:14.2e}")
 

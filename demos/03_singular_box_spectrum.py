@@ -10,8 +10,7 @@ Numerov shooting search.
 
 import numpy as np
 
-from boxaffine import (AqBox, BoxGeometry, boundary_exponent_probe, compute_spectrum,
-                       convergence_sweep, cq_eigenvalue, eigenvalue_search)
+from boxaffine import AqBox, BoxGeometry, compute_spectrum, convergence_sweep, cq_eigenvalue, shooting
 
 geom = BoxGeometry(b=1.0, hbar=1.0)
 model = AqBox(geom)
@@ -26,21 +25,21 @@ print(f"last-step relative change: {np.max(table.final_change):.2e}")
 print()
 
 spec = compute_spectrum(model, 48, n_diagnostics=6)
+sh = shooting.spectrum(model, 6, tol=1e-9, grid_size=40001)
 
 print("Cross-validation against the shooting oracle:")
 print(f"{'k':>3} {'variational':>16} {'shooting':>16} {'rel delta':>12} {'parity':>7} {'nodes':>6}")
 for k in range(6):
     e_rr = spec.eigenvalues[k]
-    e_sh = eigenvalue_search(model, k, tol=1e-9, grid_size=40001)
+    e_sh = sh.eigenvalues[k]
     lv = spec.levels[k]
     print(f"{k:>3} {e_rr:16.10f} {e_sh:16.10f} {abs(e_sh - e_rr) / e_rr:12.2e} "
           f"{lv.parity:>7} {lv.node_count:>6}")
 print()
 
 print("Wall behavior (fitted log-slope of |psi| over s in [1e-4, 1e-2]):")
-e0 = eigenvalue_search(model, 0, tol=1e-9, grid_size=40001)
 print(f"  variational level 0: {spec.levels[0].boundary_exponent:.4f}")
-print(f"  shooting    level 0: {boundary_exponent_probe(model, e0):.4f}")
+print(f"  shooting    level 0: {sh.level(0).boundary_exponent:.4f}")
 print("  -> psi ~ (b^2 - x^2)^{3/2} * (smooth), so TWO derivatives stay")
 print("     continuous through the walls and the delta obstruction of the")
 print("     flat box never appears.")

@@ -10,25 +10,23 @@ inverse-square wall.
 
 import numpy as np
 
-from boxaffine import (HalfHarmonic, boundary_exponent_probe, eigenvalue_search,
-                       half_ho_eigenfunction, half_ho_eigenvalue, wavefunction)
+from boxaffine import (HalfHarmonic, boundary_exponent_probe, half_ho_eigenfunction,
+                       half_ho_eigenvalue, shooting)
 
 print(f"{'hbar':>6} {'k':>3} {'exact':>14} {'shooting':>16} {'rel err':>12}")
 for hbar in (0.5, 1.0, 2.0):
     model = HalfHarmonic(hbar)
-    for k in range(5):
-        e = eigenvalue_search(model, k, tol=1e-9, grid_size=20001)
+    for k, e in enumerate(shooting.spectrum(model, 5, tol=1e-9, grid_size=20001).eigenvalues):
         exact = half_ho_eigenvalue(k, hbar)
         print(f"{hbar:>6} {k:>3} {exact:14.6f} {e:16.10f} {abs(e - exact) / exact:12.2e}")
 print()
 
-model = HalfHarmonic(1.0)
+sh = shooting.spectrum(HalfHarmonic(1.0), 3, tol=1e-9)
 print("Shape agreement with the closed form (normalized overlap = cos angle):")
 for k in (0, 1, 2):
-    e = eigenvalue_search(model, k, tol=1e-9)
-    xs, psi = wavefunction(model, e)
-    ref = half_ho_eigenfunction(k, xs, 1.0)
-    cosine = abs(psi @ ref) / np.sqrt((psi @ psi) * (ref @ ref))
+    shot = sh.level(k)
+    ref = half_ho_eigenfunction(k, shot.xs, 1.0)
+    cosine = abs(shot.psi @ ref) / np.sqrt((shot.psi @ shot.psi) * (ref @ ref))
     print(f"  k={k}: overlap = {cosine:.12f}")
 print()
 

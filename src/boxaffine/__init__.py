@@ -19,7 +19,7 @@ from .potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, boundary_asymptoti
 from .quadrature import QuadratureRule, gauss_legendre
 from .ritz import (GeneralizedEigProblem, SpectrumResult, assemble_matrices, compute_spectrum,
                    convergence_sweep, solve_generalized_symmetric)
-from .shooting import (MatchResult, boundary_exponent_probe, eigenvalue_search,
+from .shooting import (MatchResult, ShootingSpectrum, boundary_exponent_probe, eigenvalue_search,
                        numerov_integrate, wavefunction)
 
 __version__ = "0.1.0"
@@ -36,6 +36,6 @@ __all__ = [
     "QuadratureRule", "gauss_legendre",
     "GeneralizedEigProblem", "SpectrumResult", "assemble_matrices",
     "solve_generalized_symmetric", "compute_spectrum", "convergence_sweep",
-    "MatchResult", "numerov_integrate", "eigenvalue_search", "boundary_exponent_probe",
-    "wavefunction",
+    "MatchResult", "ShootingSpectrum", "numerov_integrate", "eigenvalue_search",
+    "boundary_exponent_probe", "wavefunction",
 ]

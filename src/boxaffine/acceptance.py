@@ -58,8 +58,8 @@ def criterion_1_cq_spectrum():
     spec = ritz.compute_spectrum(model, 32, n_diagnostics=8)
     rr_err = max(abs(spec.eigenvalues[n - 1] - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
                  for n in range(1, 9))
-    sh_err = max(abs(shooting.eigenvalue_search(model, n - 1, tol=1e-8, grid_size=20001)
-                     - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
+    sh = shooting.spectrum(model, 8, tol=1e-8, grid_size=20001)
+    sh_err = max(abs(sh.eigenvalues[n - 1] - cq_eigenvalue(n, geom)) / cq_eigenvalue(n, geom)
                  for n in range(1, 9))
     return (rr_err <= 1e-8 and sh_err <= 1e-6,
             f"rayleigh-ritz rel err {rr_err:.2e} (<=1e-8), shooting rel err {sh_err:.2e} (<=1e-6)")
@@ -108,8 +108,7 @@ def criterion_5_half_harmonic():
     exponents = []
     for hbar in (0.5, 1.0, 2.0):
         model = HalfHarmonic(hbar)
-        for k in range(5):
-            e = shooting.eigenvalue_search(model, k, tol=1e-8, grid_size=20001)
+        for k, e in enumerate(shooting.spectrum(model, 5, tol=1e-8, grid_size=20001).eigenvalues):
             exact = half_ho_eigenvalue(k, hbar)
             worst = max(worst, abs(e - exact) / exact)
         exponents.append(shooting.boundary_exponent_probe(model, half_ho_eigenvalue(0, hbar)))
@@ -128,12 +127,12 @@ def criterion_6_aq_box_cross_method():
     spec = ritz.compute_spectrum(model, 48, n_diagnostics=6)
     worst = 0.0
     structure_ok = True
-    for k in range(6):
-        e_sh = shooting.eigenvalue_search(model, k, tol=1e-9, grid_size=40001)
+    for k, e_sh in enumerate(shooting.spectrum(model, 6, tol=1e-9, grid_size=40001).eigenvalues):
         worst = max(worst, abs(e_sh - spec.eigenvalues[k]) / spec.eigenvalues[k])
         diag = spec.levels[k]
         structure_ok &= diag.parity == ("even" if k % 2 == 0 else "odd")
         structure_ok &= diag.node_count == k
+        # the node count alone is read, so no exponent probe (ShootingSpectrum.level)
         structure_ok &= shooting.numerov_integrate(model, e_sh, 40001).node_count == k
     return (worst <= 1e-6 and monotone and final_change <= 1e-8 and structure_ok,
             f"max rel delta {worst:.2e} (<=1e-6), monotone {monotone}, final change "
@@ -164,7 +163,8 @@ def criterion_8_boundary_asymptotics():
     model = AqBox(BoxGeometry(1.0, 1.0))
     spec = ritz.compute_spectrum(model, 48, n_diagnostics=1)
     rr_exp = spec.levels[0].boundary_exponent
-    e0 = shooting.eigenvalue_search(model, 0, tol=1e-9)
+    e0 = shooting.spectrum(model, 1, tol=1e-9).eigenvalues[0]
+    # the exponent alone is read, so no final shot (ShootingSpectrum.level)
     sh_exp = shooting.boundary_exponent_probe(model, e0)
     return (worst_ratio <= 5e-5 and abs(rr_exp - 1.5) <= 0.01 and abs(sh_exp - 1.5) <= 0.01,
             f"|ratio-1| {worst_ratio:.2e} (<=5e-5) at b-|x|=1e-4 b; exponents "

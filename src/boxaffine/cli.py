@@ -158,11 +158,10 @@ _FLAGS = {
     "target": Flag("toy", choices=("toy", "cq-eigenfunction")),
     "n": Flag(1, int, rules=(_at_least(1),), help="mode index for cq-eigenfunction"),
     "sizes": Flag("8,16,24,32,48", _basis_sizes, help="comma-separated ascending basis sizes",
-                  rules=((bool, "must list at least one basis size"),
+                  rules=((lambda v: len(v) >= 2, "must list at least two basis sizes"),
                          (lambda v: all(x < y for x, y in zip(v, v[1:])), "must be strictly ascending"),
                          (lambda v: v[-1] <= ritz.MAX_BASIS, f"entries must be <= {ritz.MAX_BASIS}"))),
 }
-_DEFAULTS = {key: flag.default for key, flag in _FLAGS.items()}
 
 
 def _dest(key):
@@ -367,16 +366,6 @@ def _base_report(cfg):
     }
 
 
-@dataclass(frozen=True)
-class ShootingLevel:
-    """One converged shooting level, fields named as in ritz.LevelDiagnostics."""
-
-    energy: float
-    parity: Optional[str]
-    node_count: int
-    boundary_exponent: float
-
-
 def run_spectrum(cfg):
     """Solve the configured model; returns (report, exit_code)."""
     model = cfg.model()
@@ -393,7 +382,7 @@ def run_spectrum(cfg):
         rr = ritz.compute_spectrum(model, cfg.basis_size, n_diagnostics=cfg.levels)
         timings["rayleigh_ritz_s"] = time.perf_counter() - t0
 
-    sh_energies = None
+    sh = None
     if method in ("shooting", "both"):
         t0 = time.perf_counter()
         if cfg.dump_psi:
@@ -401,18 +390,11 @@ def run_spectrum(cfg):
                 os.makedirs(cfg.dump_psi, exist_ok=True)
             except OSError as exc:
                 raise UsageError(f"--dump-psi: cannot make {cfg.dump_psi}: {exc}")
-        sh_energies, sh_levels = [], []
-        for k in range(cfg.levels):
-            energy = shooting.eigenvalue_search(model, k, tol=cfg.tol, grid_size=cfg.grid_size)
-            sh_energies.append(energy)
-            # a final shot only where it is read: levels without Ritz, or --dump-psi
-            if rr is not None and not cfg.dump_psi:
-                continue
-            shot = shooting.numerov_integrate(model, energy, cfg.grid_size)
-            if rr is None:
-                sh_levels.append(ShootingLevel(energy, shot.parity, shot.node_count,
-                                               shooting.boundary_exponent_probe(model, energy)))
-            if cfg.dump_psi:
+        sh = shooting.spectrum(model, cfg.levels, tol=cfg.tol, grid_size=cfg.grid_size)
+        # final shots only where they are read: levels without Ritz, or --dump-psi
+        shots = [sh.level(k) for k in range(cfg.levels)] if rr is None or cfg.dump_psi else []
+        if cfg.dump_psi:
+            for k, shot in enumerate(shots):
                 _write("dump-psi", os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv"),
                        "x,psi\n" + "".join(f"{float(x)!r},{float(p)!r}\n"
                                             for x, p in zip(shot.xs, shot.psi)))
@@ -420,14 +402,13 @@ def run_spectrum(cfg):
 
     levels = []
     deltas = []
-    for k in range(cfg.levels):
-        # Ritz fills the level where it ran; `both` adds the comparison
-        level = rr.levels[k] if rr is not None else sh_levels[k]
+    # Ritz fills the level where it ran; `both` adds the comparison
+    for k, level in enumerate(rr.levels if rr is not None else shots):
         rec = {"index": index_base + k, "energy": float(level.energy), "parity": level.parity,
                "node_count": level.node_count,
                "boundary_exponent": float(level.boundary_exponent)}
-        if rr is not None and sh_energies is not None:
-            e_rr, e_sh = rr.levels[k].energy, sh_energies[k]
+        if rr is not None and sh is not None:
+            e_rr, e_sh = level.energy, sh.eigenvalues[k]
             delta = abs(e_sh - e_rr) / abs(e_rr)
             rec.update(energy_rayleigh_ritz=float(e_rr), energy_shooting=float(e_sh),
                        relative_delta=float(delta))

@@ -69,11 +69,6 @@ class PiecewiseSmooth:
     def ambient_interval(self):
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
-    @property
-    def breakpoints(self):
-        """Interior piece boundaries, strictly increasing."""
-        return tuple(p.hi for p in self.pieces[:-1])
-
     def __call__(self, x):
         """Vectorized evaluation of f with zero extension outside."""
         x = np.asarray(x, dtype=float)

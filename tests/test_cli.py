@@ -14,8 +14,8 @@ from boxaffine import cli
 from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import AqBox
 from boxaffine.ritz import NotPositiveDefinite
-from boxaffine.shooting import (BracketFailure, boundary_exponent_probe, eigenvalue_search,
-                                numerov_integrate)
+from boxaffine.shooting import (GRID_SIZE, BracketFailure, boundary_exponent_probe,
+                                eigenvalue_search, numerov_integrate)
 
 
 def run_cli(capsys, *argv):
@@ -268,7 +268,7 @@ class TestSpectrum:
         assert code == 0
         assert sorted(os.listdir(dest)) == ["psi_0.csv", "psi_1.csv"]
         for lv in json.loads((tmp_path / "r.json").read_text())["levels"]:
-            shot = numerov_integrate(AqBox(), lv["energy_shooting"], cli._DEFAULTS["grid-size"])
+            shot = numerov_integrate(AqBox(), lv["energy_shooting"], GRID_SIZE)
             rows = "".join(f"{float(x)!r},{float(p)!r}\n" for x, p in zip(shot.xs, shot.psi))
             assert (dest / f"psi_{lv['index']}.csv").read_text() == "x,psi\n" + rows
 
@@ -277,7 +277,7 @@ class TestSpectrum:
                                "--method", "shooting")
         assert code == 0
         for k, lv in enumerate(json.loads(out)["levels"]):
-            shot = numerov_integrate(AqBox(), lv["energy"], cli._DEFAULTS["grid-size"])
+            shot = numerov_integrate(AqBox(), lv["energy"], GRID_SIZE)
             assert (lv["parity"], lv["node_count"]) == (shot.parity, shot.node_count)
             assert (shot.parity, shot.node_count) == (("even", "odd")[k % 2], k)
             assert lv["boundary_exponent"] == boundary_exponent_probe(AqBox(), lv["energy"])
@@ -376,6 +376,28 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "--model", "half-ho")
         assert code == 4
         assert "BracketFailure" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--model", "aq-box", "--levels", "2"),
+    ("spectrum", "--model", "half-ho", "--levels", "2"),
+    ("check-derivatives", "--target", "toy"),
+    ("check-derivatives", "--target", "cq-eigenfunction"),
+    ("convergence", "--model", "aq-box", "--sizes", "8,16", "--levels", "2"),
+    ("convergence", "--model", "aq-box", "--sizes", "8", "--levels", "2"),
+    ("convergence", "--model", "cq-box", "--sizes", "64", "--levels", "12"),
+], ids=" ".join)
+def test_every_report_is_strict_json(capsys, argv):
+    # JSON has no NaN or Infinity: a run either writes a report that parses
+    # without them or is refused
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 2)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def run_cli_process(*argv, timeout=60):
@@ -580,6 +602,18 @@ class TestConvergence:
     def test_bad_sizes(self, capsys):
         code, _, err = run_cli(capsys, "convergence", "--model", "aq-box", "--sizes", "16,8")
         assert code == 2
+
+    def test_one_size_is_usage_error(self, capsys, tmp_path):
+        # a study of the change between basis sizes needs two of them; one
+        # size has no final change to report
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": "aq-box", "sizes": 8, "levels": 2}))
+        for argv in (("--model", "aq-box", "--sizes", "8", "--levels", "2"),
+                     ("--model", "cq-box", "--sizes", "64,", "--levels", "12"),
+                     ("--config", str(path))):
+            code, out, err = run_cli(capsys, "convergence", *argv)
+            assert code == 2 and out == ""
+            assert err == "error: --sizes must list at least two basis sizes\n"
 
     def test_half_ho_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "convergence", "--model", "half-ho")

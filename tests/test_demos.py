@@ -60,3 +60,23 @@ def test_tracer_sees_the_spectrum_runner_under_main(monkeypatch, capsys):
     names = [span[0] for span in tracer.spans]
     runs = [span for span in tracer.spans if span[0] == "cli.run_spectrum"]
     assert len(runs) == 1 and names[runs[0][3]] == "cli.main"
+
+
+@pytest.mark.parametrize("method, shots", [("shooting", 4), ("both", 0)])
+def test_tracer_counts_each_level_once(monkeypatch, capsys, method, shots):
+    # the benchmark counts levels by eigenvalue_search spans and final shots
+    # by numerov_integrate and boundary_exponent_probe spans; `both` reads
+    # only energies from shooting
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["spectrum", "--model", "aq-box", "--levels", "4", "--method", method]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [span[0] for span in tracer.spans]
+    assert [names.count(f"shooting.{name}") for name in
+            ("eigenvalue_search", "numerov_integrate", "boundary_exponent_probe")] == [4, shots, shots]

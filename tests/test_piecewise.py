@@ -194,7 +194,7 @@ class TestConstruction:
 
     def test_breakpoints(self):
         phi = cq_eigenfunction_extended(2, BoxGeometry(1.0, 1.0))
-        assert phi.breakpoints == (-1.0, 1.0)
+        assert [piece.hi for piece in phi.pieces[:-1]] == [-1.0, 1.0]
         assert phi.ambient_interval == (-2.0, 2.0)
 
 

@@ -124,7 +124,7 @@ class TestEigenvalueSearch:
 
     def test_accuracy_at_default_grid(self):
         # the CLI's default grid holds levels 0-11 to these bounds at tol 1e-10
-        size = cli._DEFAULTS["grid-size"]
+        size = GRID_SIZE
         for model, bound in ((AQ, 5e-11), (CQ, 5e-11), (HalfHarmonic(1.0), 3e-10)):
             got = np.array([eigenvalue_search(model, k, tol=1e-10, grid_size=size) for k in range(12)])
             ref = np.array(_levels(model, 12, basis=64))
@@ -733,6 +733,49 @@ class TestFinalShot:
                 assert sum(lengths) <= max(m, size - 1 - m) + 2
 
 
+class TestSpectrum:
+    # one call per spectrum: the energies of a loop over eigenvalue_search,
+    # and a level's final shot and exponent probe only when it is asked for
+    @MODELS
+    @pytest.mark.parametrize("size", [1000, 4001])
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_energies_are_a_search_loop(self, model, size, tol):
+        got = shooting.spectrum(model, 6, tol=tol, grid_size=size)
+        _setup.cache_clear()
+        ref = [eigenvalue_search(model, k, tol=tol, grid_size=size) for k in range(6)]
+        assert got.eigenvalues.tolist() == ref
+        assert got.model is model and got.grid_size == size
+
+    @MODELS
+    def test_level_is_the_final_shot_and_its_probe(self, model):
+        spec = shooting.spectrum(model, 3, tol=1e-9, grid_size=4001)
+        for k, E in enumerate(spec.eigenvalues):
+            level, shot = spec.level(k), numerov_integrate(model, E, 4001)
+            assert shot.boundary_exponent is None
+            assert level.boundary_exponent == boundary_exponent_probe(model, E)
+            assert (level.energy, level.node_count, level.parity) == (shot.energy, k, shot.parity)
+            assert np.array_equal(level.xs, shot.xs) and np.array_equal(level.psi, shot.psi)
+
+    def test_no_final_shot_until_a_level_is_read(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            original = getattr(shooting, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("eigenvalue_search", "numerov_integrate", "boundary_exponent_probe"):
+            monkeypatch.setattr(shooting, name, counted(name))
+        spec = shooting.spectrum(AQ, 4)
+        assert calls == ["eigenvalue_search"] * 4
+        calls.clear()
+        spec.level(2)
+        assert calls == ["numerov_integrate", "boundary_exponent_probe"]
+
+
 class TestGridValidation:
     def test_minimum_size(self):
         # every entry point takes a point count and rejects one below 1000
@@ -758,7 +801,7 @@ class TestGridValidation:
         assert setup.h == (24.0 - 2e-6) / 2000
         with pytest.raises(ModelUnsupported):
             _setup(AntiBox(GEOM), 2001)
-        assert GRID_SIZE == cli._DEFAULTS["grid-size"]
+        assert cli.parse_config(["spectrum"]).grid_size == GRID_SIZE
 
 
 def test_count_nodes_matches_difference_count():
