@@ -39,7 +39,7 @@ print()
 
 print("Wall behavior (fitted log-slope of |psi| over s in [1e-4, 1e-2]):")
 print(f"  variational level 0: {spec.levels[0].boundary_exponent:.4f}")
-print(f"  shooting    level 0: {sh.level(0).boundary_exponent:.4f}")
+print(f"  shooting    level 0: {shooting.boundary_exponent_probe(model, sh.eigenvalues[0]):.4f}")
 print("  -> psi ~ (b^2 - x^2)^{3/2} * (smooth), so TWO derivatives stay")
 print("     continuous through the walls and the delta obstruction of the")
 print("     flat box never appears.")

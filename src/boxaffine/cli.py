@@ -391,8 +391,12 @@ def run_spectrum(cfg):
             except OSError as exc:
                 raise UsageError(f"--dump-psi: cannot make {cfg.dump_psi}: {exc}")
         sh = shooting.spectrum(model, cfg.levels, tol=cfg.tol, grid_size=cfg.grid_size)
-        # final shots only where they are read: levels without Ritz, or --dump-psi
-        shots = [sh.level(k) for k in range(cfg.levels)] if rr is None or cfg.dump_psi else []
+        energies = sh.eigenvalues.tolist()
+        # final shots only where they are read: levels without Ritz, or --dump-psi;
+        # exponent probes only where shooting fills the levels
+        shots = ([shooting.numerov_integrate(model, E, cfg.grid_size) for E in energies]
+                 if rr is None or cfg.dump_psi else [])
+        exponents = [shooting.boundary_exponent_probe(model, E) for E in energies] if rr is None else []
         if cfg.dump_psi:
             for k, shot in enumerate(shots):
                 _write("dump-psi", os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv"),
@@ -406,7 +410,7 @@ def run_spectrum(cfg):
     for k, level in enumerate(rr.levels if rr is not None else shots):
         rec = {"index": index_base + k, "energy": float(level.energy), "parity": level.parity,
                "node_count": level.node_count,
-               "boundary_exponent": float(level.boundary_exponent)}
+               "boundary_exponent": float(level.boundary_exponent if rr is not None else exponents[k])}
         if rr is not None and sh is not None:
             e_rr, e_sh = level.energy, sh.eigenvalues[k]
             delta = abs(e_sh - e_rr) / abs(e_rr)

@@ -29,7 +29,7 @@ h^2 and cut Numerov from fourth to second order at the wall.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,6 @@ class MatchResult:
     ``psi`` is the assembled solution on ``xs``, max-normalised.  ``parity``
     is the sign of the scale that joins the right branch to the left,
     ``None`` for a model that is not mirror-symmetric (the half line).
-    ``boundary_exponent`` is ``None`` but on a converged level's shot
-    (``ShootingSpectrum.level``), where it holds ``boundary_exponent_probe``.
     """
 
     energy: float
@@ -62,7 +60,6 @@ class MatchResult:
     parity: Optional[str]
     xs: np.ndarray
     psi: np.ndarray
-    boundary_exponent: Optional[float] = None
 
 
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
@@ -204,16 +201,14 @@ class _End:
 
     ``base`` holds the start values at a Dirichlet end.  At an inverse-square
     wall it holds s^{3/2} on the planted points, ``powers`` the powers u^n of
-    their u = s / length_scale, ``recurrence`` the Frobenius recurrence,
-    which each sweep writes its energy into (``_start``), and ``w2`` a view
-    of the entries it writes; all are None at a Dirichlet end.  The
-    recurrence starts at the last start value.
+    their u = s / length_scale and ``recurrence`` the Frobenius recurrence,
+    which each sweep writes its energy into (``_start``); both are None at a
+    Dirichlet end.  The recurrence starts at the last start value.
     """
 
     base: np.ndarray
     powers: Optional[np.ndarray] = None
     recurrence: Optional[np.ndarray] = None
-    w2: Optional[np.ndarray] = None
 
 
 def _end(model, wall, s_values):
@@ -222,11 +217,7 @@ def _end(model, wall, s_values):
     if wall == INVERSE_SQUARE:
         s = s_values[:np.count_nonzero(s_values < SERIES_FRAC * model.length_scale)]
         powers = (s / model.length_scale)[:, None] ** np.arange(_SERIES_TERMS)
-        system = _recurrence(model.wall_series)
-        # where E enters, entries (n, n - 2) for n >= 2: a strided view of
-        # the Fortran-ordered system
-        w2 = system.ravel(order="F")[2::_SERIES_TERMS + 1][:_SERIES_TERMS - 2]
-        return _End(np.power(s, 1.5), powers, system, w2)
+        return _End(np.power(s, 1.5), powers, _recurrence(model.wall_series))
     return _End(_launch(wall, s_values))
 
 
@@ -290,8 +281,9 @@ def _start(setup, end, E):
     by forward substitution (LAPACK dtrtrs)."""
     if end.powers is None:
         return end.base
-    # only the entries holding -w_2 depend on E: w_2 is the declared term less E L^2 / kappa
-    end.w2[:] = E * setup.model.length_scale**2 / setup.model.kappa - setup.model.wall_series[2]
+    # E enters only at (n, n - 2), as -w_2: w_2 is the declared term less E L^2 / kappa
+    np.fill_diagonal(end.recurrence[2:],
+                     E * setup.model.length_scale**2 / setup.model.kappa - setup.model.wall_series[2])
     coefficients, _ = _lapack()[1](end.recurrence, _A0, lower=1)
     return end.base * (end.powers @ coefficients)
 
@@ -571,18 +563,13 @@ def boundary_exponent_probe(model, E):
 @dataclass(frozen=True, eq=False)
 class ShootingSpectrum:
     """Levels 0, 1, ... of one model on a ``grid_size``-point grid, from one
-    ``spectrum`` call; ``level(k)`` takes level k's final shot and exponent
-    probe only when it is called."""
+    ``spectrum`` call.  It holds energies only: a caller that reads a level's
+    final shot or wall exponent takes ``numerov_integrate`` or
+    ``boundary_exponent_probe`` at that energy itself."""
 
     model: object
     grid_size: int
     eigenvalues: np.ndarray
-
-    def level(self, k):
-        """Level k's final shot (``numerov_integrate``) with its exponent probe."""
-        E = float(self.eigenvalues[k])
-        return replace(numerov_integrate(self.model, E, self.grid_size),
-                       boundary_exponent=boundary_exponent_probe(self.model, E))
 
 
 def spectrum(model, levels, tol=TOL, grid_size=GRID_SIZE):

@@ -8,9 +8,14 @@ reads as the acceptance report.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import boxaffine
 from boxaffine import acceptance, cli
 
 
@@ -49,6 +54,23 @@ def test_criterion_fails_at_its_bound():
     res = acceptance._criterion("bounded", runtime_bound=0.0)(lambda: (True, "ok"))()
     assert not res.passed
     assert res.detail.startswith("ok, runtime ") and res.detail.endswith("(<0s)")
+
+
+def test_first_criterion_starts_with_lapack_loaded():
+    # run_all loads LAPACK before the first criterion's timer starts, so in a
+    # fresh process criterion 1 times its solves, not scipy.linalg's import
+    env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
+    code = ("import sys, boxaffine.acceptance as acceptance\n"
+            "seen = ['scipy.linalg' in sys.modules]\n"
+            "def first():\n"
+            "    seen.append('scipy.linalg' in sys.modules)\n"
+            "    return acceptance.CriterionResult('first', True, '', 0.0)\n"
+            "acceptance.ALL_CRITERIA = (first,)\n"
+            "acceptance.run_all()\n"
+            "print(*seen)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False True"
 
 
 def test_unbounded_criterion_shows_no_runtime():

@@ -25,7 +25,7 @@ def test_five_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -62,21 +62,25 @@ def test_tracer_sees_the_spectrum_runner_under_main(monkeypatch, capsys):
     assert len(runs) == 1 and names[runs[0][3]] == "cli.main"
 
 
-@pytest.mark.parametrize("method, shots", [("shooting", 4), ("both", 0)])
-def test_tracer_counts_each_level_once(monkeypatch, capsys, method, shots):
+@pytest.mark.parametrize("method, dump_psi, counts", [
+    pytest.param("shooting", False, [4, 4, 4], id="shooting-4"),
+    pytest.param("both", False, [4, 0, 0], id="both-0"),
+    pytest.param("both", True, [4, 4, 0], id="both-dump-psi")])
+def test_tracer_counts_each_level_once(monkeypatch, capsys, tmp_path, method, dump_psi, counts):
     # the benchmark counts levels by eigenvalue_search spans and final shots
     # by numerov_integrate and boundary_exponent_probe spans; `both` reads
-    # only energies from shooting
+    # only energies from shooting, and with --dump-psi the shots it writes
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from tracing import Tracer
 
+    argv = ["spectrum", "--model", "aq-box", "--levels", "4", "--method", method]
     tracer = Tracer()
     try:
         tracer.install()
-        assert cli.main(["spectrum", "--model", "aq-box", "--levels", "4", "--method", method]) == 0
+        assert cli.main(argv + (["--dump-psi", str(tmp_path)] if dump_psi else [])) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     names = [span[0] for span in tracer.spans]
     assert [names.count(f"shooting.{name}") for name in
-            ("eigenvalue_search", "numerov_integrate", "boundary_exponent_probe")] == [4, shots, shots]
+            ("eigenvalue_search", "numerov_integrate", "boundary_exponent_probe")] == counts

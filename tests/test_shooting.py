@@ -735,7 +735,7 @@ class TestFinalShot:
 
 class TestSpectrum:
     # one call per spectrum: the energies of a loop over eigenvalue_search,
-    # and a level's final shot and exponent probe only when it is asked for
+    # and no final shot or exponent probe, which each caller takes itself
     @MODELS
     @pytest.mark.parametrize("size", [1000, 4001])
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
@@ -745,16 +745,6 @@ class TestSpectrum:
         ref = [eigenvalue_search(model, k, tol=tol, grid_size=size) for k in range(6)]
         assert got.eigenvalues.tolist() == ref
         assert got.model is model and got.grid_size == size
-
-    @MODELS
-    def test_level_is_the_final_shot_and_its_probe(self, model):
-        spec = shooting.spectrum(model, 3, tol=1e-9, grid_size=4001)
-        for k, E in enumerate(spec.eigenvalues):
-            level, shot = spec.level(k), numerov_integrate(model, E, 4001)
-            assert shot.boundary_exponent is None
-            assert level.boundary_exponent == boundary_exponent_probe(model, E)
-            assert (level.energy, level.node_count, level.parity) == (shot.energy, k, shot.parity)
-            assert np.array_equal(level.xs, shot.xs) and np.array_equal(level.psi, shot.psi)
 
     def test_no_final_shot_until_a_level_is_read(self, monkeypatch):
         calls = []
@@ -769,11 +759,8 @@ class TestSpectrum:
 
         for name in ("eigenvalue_search", "numerov_integrate", "boundary_exponent_probe"):
             monkeypatch.setattr(shooting, name, counted(name))
-        spec = shooting.spectrum(AQ, 4)
+        shooting.spectrum(AQ, 4)
         assert calls == ["eigenvalue_search"] * 4
-        calls.clear()
-        spec.level(2)
-        assert calls == ["numerov_integrate", "boundary_exponent_probe"]
 
 
 class TestGridValidation:
