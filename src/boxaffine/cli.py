@@ -41,6 +41,7 @@ MAX_LEVELS = 12
 # hbar that the solvers take stay finite, so none raises OverflowError; the
 # Ritz pencil holds only hbar^2/b and b
 SCALE_RANGE = (1e-50, 1e50)
+MAX_POINTS = 10**6  # most --points of a potential dump
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -114,7 +115,7 @@ class Flag:
 
 
 def _within(lo, hi):
-    return (lambda v: lo <= v <= hi), f"must be in [{lo:g}, {hi:g}]"
+    return (lambda v: lo <= v <= hi), f"must be in [{lo}, {hi}]"
 
 
 def _at_least(lo):
@@ -139,8 +140,10 @@ _FLAGS = {
     "W": Flag(0.0, float, rules=(_at_least(0),), help="anti-box pull strength"),
     "levels": Flag(6, int, rules=(_within(1, MAX_LEVELS),)),
     "basis-size": Flag(32, int, rules=(_within(1, ritz.MAX_BASIS),)),
-    "grid-size": Flag(shooting.GRID_SIZE, int, rules=(_at_least(shooting.MIN_GRID_SIZE),),
-                      help=f"shooting grid points, >= {shooting.MIN_GRID_SIZE}"),
+    "grid-size": Flag(shooting.GRID_SIZE, int,
+                      rules=(_within(shooting.MIN_GRID_SIZE, shooting.MAX_GRID_SIZE),),
+                      help=f"shooting grid points, in [{shooting.MIN_GRID_SIZE}, "
+                           f"{shooting.MAX_GRID_SIZE}]"),
     "tol": Flag(shooting.TOL, float, rules=((lambda v: shooting.MIN_TOL <= v <= 1e-2,
                                              f"must be in [{shooting.MIN_TOL:g}, 1e-2]"),),
                 help="shooting search width, in units of hbar^2/b^2 (boxes) or hbar (half-ho); "
@@ -154,7 +157,7 @@ _FLAGS = {
                                                "DIR/psi_<k>.csv (method shooting or both)"),
     "x-min": Flag(None, float),
     "x-max": Flag(None, float),
-    "points": Flag(199, int, rules=(_at_least(2),)),
+    "points": Flag(199, int, rules=(_within(2, MAX_POINTS),)),
     "target": Flag("toy", choices=("toy", "cq-eigenfunction")),
     "n": Flag(1, int, rules=(_at_least(1),), help="mode index for cq-eigenfunction"),
     "sizes": Flag("8,16,24,32,48", _basis_sizes, help="comma-separated ascending basis sizes",

@@ -14,20 +14,22 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .quadrature import MAX_ORDER, gauss_legendre
+
 JUMP_THRESHOLD = 1e-10  # jumps below this are floating-point noise
 QUAD_TOL = 1e-10
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
+    """No Gauss-Legendre order up to MAX_ORDER reached the requested tolerance."""
 
 
 @dataclass(frozen=True)
 class Piece:
     """One smooth piece on the open interval (lo, hi).
 
-    Evaluators must be finite on the closure: one-sided limits at a
-    breakpoint are taken by evaluating the adjacent piece there.
+    Evaluators map arrays to arrays and must be finite on the closure: one-sided
+    limits at a breakpoint are taken by evaluating the adjacent piece there.
     """
 
     lo: float
@@ -149,18 +151,19 @@ def weak_second_derivative(f):
 
 def l2_norm_squared(w):
     """Integral of |w|^2 over the ambient interval; +inf as soon as w carries
-    any delta content, which always lies at an interior breakpoint."""
+    any delta content, which always lies at an interior breakpoint.  Each
+    piece takes Gauss-Legendre orders 1, 2, 4, ... until two in a row agree."""
     if not w.is_square_integrable:
         return math.inf
-
-    from scipy import integrate  # deferred: ~0.3 s of import that most runs never use
-
     total = 0.0
     for p in w.smooth_part.pieces:
-        val, err = integrate.quad(lambda x: float(p.f(np.asarray(x, float))) ** 2, p.lo, p.hi,
-                                  epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
-        if err > 10 * max(QUAD_TOL, QUAD_TOL * abs(val)):
-            raise QuadratureFailure(f"quadrature error {err:.2e} on piece ({p.lo}, {p.hi})")
+        val = math.nan
+        for n in (2**j for j in range(MAX_ORDER.bit_length())):  # 1, 2, 4, ..., MAX_ORDER
+            prev, val = val, gauss_legendre(n).integrate(lambda x: p.f(x) ** 2, p.lo, p.hi)
+            if abs(val - prev) <= max(QUAD_TOL, QUAD_TOL * abs(val)):
+                break
+        else:
+            raise QuadratureFailure(f"orders up to {MAX_ORDER} disagree on ({p.lo}, {p.hi})")
         total += val
     return total
 

@@ -6,8 +6,8 @@ Gegenbauer polynomial of order lambda = 2w - 1/2 orthonormal for the weight
 potential, w = 1 handles the flat Dirichlet box.  The Gegenbauer equation and
 recurrence (DLMF 18.8-18.9) give the pencil H v = lambda S v in closed form.
 H is diagonal and S couples n only to n +- 2, so the pencil splits into one
-symmetric tridiagonal eigenproblem per parity, which numpy.linalg solves:
-Ritz needs no scipy.linalg.
+symmetric tridiagonal eigenproblem per parity.  numpy.linalg solves these,
+and the dense pencil that acceptance criterion 9 checks: Ritz needs no scipy.
 """
 
 import math
@@ -110,25 +110,26 @@ def solve_generalized_symmetric(prob):
     S-orthonormal.  Acceptance criterion 9 checks it on random pencils; the
     Ritz solve itself runs on the parity blocks (``_parity_solve``).
 
-    LAPACK dsygvd gives the eigenvectors; each eigenvalue is then replaced by
-    its Rayleigh quotient v^T H v / v^T S v, whose error is quadratic in the
-    eigenvector's.  That restores the relative accuracy the solve loses on
-    eigenvalues much smaller than the largest (on the Ritz pencil at N = 64
-    the low levels fell ~5e-12 relative below the exact values without it).
-    Eigenvector signs are fixed (largest-magnitude component positive).
+    With S = L L^T (numpy.linalg's Cholesky; Golub and Van Loan 8.7), the
+    eigenvectors y of L^-1 H L^-T give v = L^-T y.  Each eigenvalue is then
+    replaced by its Rayleigh quotient v^T H v / v^T S v, whose error is
+    quadratic in the eigenvector's.  That restores the relative accuracy the
+    solve loses on eigenvalues much smaller than the largest (on the Ritz
+    pencil at N = 64 the low levels fell ~5e-12 relative below the exact
+    values without it).  Each vector's largest-magnitude entry is positive.
     """
-    import scipy.linalg  # deferred: ~0.24 s and ~27 MB that the Ritz path never needs
-
     H, S = prob.H, prob.S
     if not np.all(np.isfinite(S)):
         raise NotPositiveDefinite("overlap matrix has non-finite entries")
     if not np.all(np.isfinite(H)):
         raise NoConvergence("stiffness matrix has non-finite entries")
     try:
-        _, vecs = scipy.linalg.eigh(H, S, check_finite=False)
+        L_inv = np.linalg.inv(np.linalg.cholesky(S))
     except np.linalg.LinAlgError as exc:
-        if "positive definite" in str(exc):
-            raise NotPositiveDefinite(str(exc)) from exc
+        raise NotPositiveDefinite(str(exc)) from exc
+    try:
+        vecs = L_inv.T @ np.linalg.eigh(L_inv @ H @ L_inv.T)[1]
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     evals = np.einsum("ij,ij->j", vecs, H @ vecs) / np.einsum("ij,ij->j", vecs, S @ vecs)
     order = np.argsort(evals, kind="stable")

@@ -65,6 +65,7 @@ class MatchResult:
 EPS_FRAC = 1e-6  # inverse-square wall offset, in units of the length scale
 GRID_SIZE = 4001  # default grid points, of the API and of the CLI's --grid-size
 MIN_GRID_SIZE = 1000  # fewest grid points, of the API and of --grid-size
+MAX_GRID_SIZE = 10**6  # most grid points, of the API and of --grid-size
 TOL = 1e-8  # default search width, of eigenvalue_search and of the CLI's --tol
 MIN_TOL = 1e-10  # narrowest search width, of eigenvalue_search and of --tol
 PROBE_GRID_SIZE = 40001  # boundary_exponent_probe's grid: ~200 fit points on a box, 33 on half-ho
@@ -88,8 +89,8 @@ def _grid(model, size):
     """
     if not model.walls:
         raise ModelUnsupported(f"{type(model).__name__} has no shooting support")
-    if size < MIN_GRID_SIZE:
-        raise ValueError(f"grid needs at least {MIN_GRID_SIZE} points")
+    if not MIN_GRID_SIZE <= size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid needs {MIN_GRID_SIZE} to {MAX_GRID_SIZE} points")
     eps = EPS_FRAC * model.length_scale if INVERSE_SQUARE in model.walls else 0.0
     (lo, hi), (lo_wall, hi_wall) = model.ends, model.walls
     lo = lo + eps if lo_wall == INVERSE_SQUARE else lo

@@ -127,9 +127,10 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("flag, value, accepted", [
         ("--grid-size", "1000", True), ("--grid-size", "999", False),
+        ("--grid-size", "1000001", False),
         ("--tol", "1e-10", True), ("--tol", "9.9e-11", False)])
     def test_shooting_limits_match_the_api(self, flag, value, accepted):
-        # the CLI reads its floors from shooting, so the two accept and reject alike
+        # the CLI reads its limits from shooting, so the two accept and reject alike
         try:
             cli.parse_config(["spectrum", "--model", "aq-box", "--method", "shooting", flag, value])
             cli_accepts = True
@@ -144,6 +145,25 @@ class TestParseConfig:
         except ValueError:
             api_accepts = False
         assert cli_accepts == api_accepts == accepted
+
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize("argv, key", [
+        (("spectrum", "--model", "aq-box", "--method", "shooting"), "grid-size"),
+        (("potential", "--model", "aq-box"), "points")], ids=["grid-size", "points"])
+    def test_size_beyond_its_bound_is_usage_error(self, capsys, tmp_path, argv, key, by_config):
+        # 10^13 points would be ~73 TiB, which numpy refuses without
+        # allocating, so the test costs no memory even without the bound
+        if by_config:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: 10**13}))
+            argv += ("--config", str(path))
+        else:
+            argv += (f"--{key}", str(10**13))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: --{key} must be in [")
+        assert lines[0].endswith(", 1000000]")
 
     @pytest.mark.parametrize("method, expected", [
         ("both", 2), ("rayleigh-ritz", 2), ("shooting", 0)])
@@ -458,29 +478,40 @@ def test_spectrum_run_leaves_scipy_optimize_unloaded():
 
 
 def test_only_a_sweep_loads_scipy_linalg():
-    # Ritz runs on numpy alone and shooting imports LAPACK on its first
-    # sweep, so a command that sweeps nothing never pays scipy.linalg's
-    # ~0.24 s and ~27 MB, nor numpy.polynomial, which scipy.linalg loads and
-    # the Gauss-Legendre rule and the half-line eigenfunction import where
-    # they run; --method both sweeps, and is the control
+    # scipy supplies shooting's two LAPACK calls and nothing else, imported
+    # on the first sweep, so a run that sweeps nothing loads no scipy module
+    # and never pays scipy.linalg's ~0.24 s and ~27 MB: not the commands
+    # below, nor criterion 9's dense eigensolve or a finite l2_norm_squared.
+    # Nor do the commands load numpy.polynomial, which the Gauss-Legendre
+    # rule (criterion 9, l2_norm_squared) and the half-line eigenfunction
+    # import where they run; --method both sweeps, and is the control
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
     code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
+            "from boxaffine import BoxGeometry, acceptance, cq_eigenfunction_extended\n"
+            "from boxaffine import l2_norm_squared, weak_derivative\n"
             "def loaded():\n"
-            "    return ['scipy.linalg' in sys.modules, 'numpy.polynomial' in sys.modules]\n"
-            "print('import', *loaded())\n"
-            "for argv in (['potential', '--model', 'aq-box'],\n"
-            "             ['check-derivatives', '--target', 'cq-eigenfunction', '--n', '2'],\n"
-            "             ['convergence', '--model', 'aq-box'],\n"
-            "             ['spectrum', '--model', 'aq-box', '--method', 'rayleigh-ritz'],\n"
-            "             ['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2']):\n"
+            "    return [any(name.startswith('scipy') for name in sys.modules),\n"
+            "            'numpy.polynomial' in sys.modules]\n"
+            "def run(argv):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        rc = cli.main(argv)\n"
-            "    print(argv[0], rc, *loaded())\n")
+            "    print(argv[0], rc, *loaded())\n"
+            "print('import', *loaded())\n"
+            "run(['potential', '--model', 'aq-box'])\n"
+            "run(['check-derivatives', '--target', 'cq-eigenfunction', '--n', '2'])\n"
+            "run(['convergence', '--model', 'aq-box'])\n"
+            "run(['spectrum', '--model', 'aq-box', '--method', 'rayleigh-ritz'])\n"
+            "print('criterion-9', acceptance.criterion_9_infrastructure().passed, *loaded())\n"
+            "w = weak_derivative(cq_eigenfunction_extended(3, BoxGeometry(1.0)))\n"
+            "print('l2_norm_squared', round(l2_norm_squared(w), 6), *loaded())\n"
+            "run(['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2'])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split("\n")[:-1] == ["import False False", "potential 0 False False",
                                     "check-derivatives 0 False False",
                                     "convergence 0 False False", "spectrum 0 False False",
+                                    "criterion-9 True False True",
+                                    "l2_norm_squared 22.20661 False True",
                                     "spectrum 0 True True"]
 
 

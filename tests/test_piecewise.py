@@ -9,9 +9,9 @@ import pytest
 
 import boxaffine
 from boxaffine.boxmodes import BoxGeometry, cq_eigenfunction_extended
-from boxaffine.piecewise import (Piece, PiecewiseSmooth, _limit_from_piece,
-                                 discrete_second_derivative_norm, flat_ramp, l2_norm_squared,
-                                 weak_derivative, weak_second_derivative)
+from boxaffine.piecewise import (Piece, PiecewiseSmooth, QuadratureFailure, WeakDerivative,
+                                 _limit_from_piece, discrete_second_derivative_norm, flat_ramp,
+                                 l2_norm_squared, weak_derivative, weak_second_derivative)
 
 
 def single_piece(f, df, d2f, lo=-1.0, hi=1.0):
@@ -133,6 +133,21 @@ class TestL2NormSquared:
                             lambda x: np.zeros_like(np.asarray(x, float)))
         assert l2_norm_squared(weak_derivative(zero)) == 0.0
 
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+    def test_first_derivative_of_every_mode(self, b):
+        # int_{-b}^{b} k^2 (sin or cos)^2(k x) dx = k^2 b; mode 120 has 120
+        # half-waves in the box, which no rule below order 256 resolves
+        for n in range(1, 121):
+            k = n * math.pi / (2.0 * b)
+            w = weak_derivative(cq_eigenfunction_extended(n, BoxGeometry(b)))
+            assert l2_norm_squared(w) == pytest.approx(k * k * b, rel=1e-9)
+
+    def test_unresolved_piece_raises(self):
+        # sin^2(5000 x) has ~1600 periods on (0, 1), beyond order MAX_ORDER
+        fast = single_piece(lambda x: np.sin(5000.0 * x), None, None, lo=0.0, hi=1.0)
+        with pytest.raises(QuadratureFailure):
+            l2_norm_squared(WeakDerivative(fast))
+
     def test_classification_matches_delta_content(self):
         for n in (1, 2, 3):
             f = cq_eigenfunction_extended(n, BoxGeometry(1.0, 1.0))
@@ -199,9 +214,15 @@ class TestConstruction:
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
-    # only l2_norm_squared needs scipy.integrate; it imports it on first use
+    # l2_norm_squared uses the package's own Gauss-Legendre rules, so neither
+    # the import nor a finite norm loads scipy.integrate
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
-    code = "import sys, boxaffine.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, boxaffine.cli\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "from boxaffine.boxmodes import BoxGeometry, cq_eigenfunction_extended\n"
+            "from boxaffine.piecewise import l2_norm_squared, weak_derivative\n"
+            "l2_norm_squared(weak_derivative(cq_eigenfunction_extended(1, BoxGeometry(1.0))))\n"
+            "print('scipy.integrate' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split() == ["False", "False"]

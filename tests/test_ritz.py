@@ -133,6 +133,21 @@ class TestGeneralizedEigensolver:
         with pytest.raises(NotPositiveDefinite):
             solve_generalized_symmetric(bad)
 
+    def test_semidefinite_overlap_is_not_positive_definite(self):
+        # finite, so it passes the guard; its Cholesky factorization fails
+        with pytest.raises(NotPositiveDefinite):
+            solve_generalized_symmetric(GeneralizedEigProblem(np.eye(3), np.diag([1.0, 0.0, 1.0])))
+
+    def test_eigensolve_failure_is_no_convergence(self, monkeypatch):
+        # the class comes from the call that failed, not from the message:
+        # this one names positive definiteness, yet the eigensolve raised it
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            solve_generalized_symmetric(random_problem(np.random.default_rng(1), 4))
+
     def test_non_finite_overlap_is_not_positive_definite(self):
         s = np.eye(3)
         s[1, 1] = np.nan

@@ -14,11 +14,11 @@ from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsu
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
 from boxaffine.boxmodes import count_nodes
-from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, PROBE_GRID_SIZE,
-                                SERIES_FRAC, BracketFailure, _end, _End, _grid, _launch, _newton,
-                                _numerov, _numerov_t, _phase, _probe, _setup, _start,
-                                _sweep, _turns, boundary_exponent_probe, eigenvalue_search,
-                                numerov_integrate, wavefunction)
+from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, MAX_GRID_SIZE,
+                                PROBE_GRID_SIZE, SERIES_FRAC, BracketFailure, _end, _End, _grid,
+                                _launch, _newton, _numerov, _numerov_t, _phase, _probe, _setup,
+                                _start, _sweep, _turns, boundary_exponent_probe,
+                                eigenvalue_search, numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -774,6 +774,16 @@ class TestGridValidation:
             with pytest.raises(ValueError):
                 call(999)
             call(1000)
+
+    def test_maximum_size(self):
+        # every entry point rejects more than MAX_GRID_SIZE points before it
+        # allocates the grid: 10^13 points would be ~73 TiB
+        for call in (lambda n: eigenvalue_search(AQ, 0, grid_size=n),
+                     lambda n: numerov_integrate(AQ, 4.622, grid_size=n),
+                     lambda n: wavefunction(AQ, 4.622, grid_size=n)):
+            for n in (MAX_GRID_SIZE + 1, 10**13):
+                with pytest.raises(ValueError):
+                    call(n)
 
     def test_default_grids(self):
         # an inverse-square wall is offset inward by EPS_FRAC * length_scale,
