@@ -2,10 +2,12 @@
 
 The potential hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 replaces the hard walls with
 a (3/4) hbar^2 / s^2 barrier at each side, which forces eigenfunctions to
-vanish like s^{3/2}.  No closed-form spectrum is known, so the numbers below
-are cross-validated: a variational solve in the (b^2-x^2)^{3/2}-weighted
-Gegenbauer basis, whose matrices have a closed form, against an independent
-Numerov shooting search.
+vanish like s^{3/2}.  The spectrum has no elementary closed form, though it
+has an exact characterisation: E_k = c_k^2 hbar^2/b^2, with c_k the root of
+lambda_{2,k+2}(c) = c^2 + 2 for the m = 2 prolate spheroidal wave functions
+(DLMF 30.2.1).  The numbers below are cross-validated: a variational solve in
+the (b^2-x^2)^{3/2}-weighted Gegenbauer basis, whose matrices have a closed
+form, against an independent Numerov shooting search.
 """
 
 import numpy as np

@@ -92,7 +92,8 @@ def criterion_3_obstruction_scaling():
 
 @_criterion("4 mode counting")
 def criterion_4_mode_counting():
-    """Exactly half of the 2M trig candidates pass the wall conditions."""
+    """Exactly half of the 2M trig candidates vanish at both walls, and they
+    are the cosines of odd n and the sines of even n."""
     ok = True
     for m in range(1, 17):
         accepted, rejected = classify_trig_modes(m)

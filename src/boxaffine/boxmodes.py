@@ -52,20 +52,19 @@ def classify_trig_modes(M):
     """Split the 2M candidates {cos, sin}(n pi x / 2b), n = 1..M, by the
     Dirichlet condition at both walls.
 
-    Returns (accepted, rejected): cosines with odd n and sines with even n
-    vanish at x = +-b and are accepted; the other M candidates are not.
+    Each candidate is evaluated at x = +-b, where its argument is +-n pi / 2,
+    and accepted if both values are below 1e-12: the accepted values are
+    rounding noise (under 3e-15 for n <= 16), the rejected partner's are +-1.
+    Returns (accepted, rejected), each in order of n.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     accepted, rejected = [], []
     for n in range(1, M + 1):
-        cos_mode, sin_mode = TrigMode(n, "cosine"), TrigMode(n, "sine")
-        if n % 2:
-            accepted.append(cos_mode)
-            rejected.append(sin_mode)
-        else:
-            accepted.append(sin_mode)
-            rejected.append(cos_mode)
+        for kind, trig in (("cosine", math.cos), ("sine", math.sin)):
+            wall = n * math.pi / 2
+            vanishes = all(abs(trig(arg)) < 1e-12 for arg in (-wall, wall))
+            (accepted if vanishes else rejected).append(TrigMode(n, kind))
     return accepted, rejected
 
 

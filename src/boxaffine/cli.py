@@ -48,8 +48,8 @@ EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 EXIT_SOLVER = 4
 
-SOLVER_ERRORS = (ritz.NotPositiveDefinite, ritz.NoConvergence, shooting.BracketFailure,
-                 shooting.FitFailure, QuadratureFailure, ModelUnsupported, DomainError)
+SOLVER_ERRORS = (ritz.NoConvergence, shooting.BracketFailure, shooting.FitFailure,
+                 QuadratureFailure, ModelUnsupported, DomainError)
 
 
 class UsageError(Exception):

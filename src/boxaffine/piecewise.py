@@ -74,20 +74,11 @@ class PiecewiseSmooth:
     def __call__(self, x):
         """Vectorized evaluation of f with zero extension outside."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.zeros_like(xv)
-        lo, hi = self.ambient_interval
-        edges = [p.lo for p in self.pieces] + [hi]
         # half-open [lo, hi) pieces, last piece closed at hi
-        idx = np.searchsorted(edges, xv, side="right") - 1
-        idx[xv == hi] = len(self.pieces) - 1
-        inside = (xv >= lo) & (xv <= hi)
-        for i, p in enumerate(self.pieces):
-            mask = inside & (idx == i)
-            if mask.any():
-                out[mask] = p.f(xv[mask])
-        return float(out[0]) if scalar else out
+        conds = [(x >= p.lo) & (x < p.hi) for p in self.pieces]
+        conds[-1] |= x == self.pieces[-1].hi
+        out = np.piecewise(x, conds, [p.f for p in self.pieces])
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

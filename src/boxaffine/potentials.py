@@ -39,6 +39,21 @@ DIRICHLET = "dirichlet"
 INVERSE_SQUARE = "inverse-square"
 
 
+def _pointwise(x, outside, message, formula):
+    """formula(x) as a float for a scalar x and an array otherwise, after
+    DomainError(message) if outside(x) holds at any point."""
+    x = np.asarray(x, dtype=float)
+    if np.any(outside(x)):
+        raise DomainError(message)
+    out = formula(x)
+    return float(out) if out.ndim == 0 else out
+
+
+def _aq_wall(x, b, hbar):
+    """hbar^2 (2x^2 + b^2) / (b^2 - x^2)^2, the inverse-square wall potential."""
+    return hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2
+
+
 class _Box:
     """The box (-b, b): kappa = hbar^2 (2m = 1), energies in hbar^2/b^2."""
 
@@ -69,11 +84,8 @@ class CqBox(_Box):
     def potential(self, x):
         # zero inside; the walls are boundary conditions, so the closed
         # interval is fine
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) > self.geom.b):
-            raise DomainError("CqBox potential defined on |x| <= b")
-        out = np.zeros_like(x)
-        return float(out) if out.ndim == 0 else out
+        return _pointwise(x, lambda x: np.abs(x) > self.geom.b,
+                          "CqBox potential defined on |x| <= b", np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -87,11 +99,8 @@ class AqBox(_Box):
     def potential(self, x):
         """hbar^2 (2x^2 + b^2) / (b^2 - x^2)^2 on the open box |x| < b."""
         b, hbar = self.geom.b, self.geom.hbar
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) >= b):
-            raise DomainError("AqBox potential requires |x| < b")
-        out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2
-        return float(out) if out.ndim == 0 else out
+        return _pointwise(x, lambda x: np.abs(x) >= b, "AqBox potential requires |x| < b",
+                          lambda x: _aq_wall(x, b, hbar))
 
 
 @dataclass(frozen=True)
@@ -127,11 +136,8 @@ class HalfHarmonic:
     def potential(self, x):
         """[(3/4) hbar^2 / x^2 + x^2] / 2 on x > 0 (the kinetic term carries
         the same overall 1/2 for this variant)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise DomainError("HalfHarmonic potential requires x > 0")
-        out = 0.5 * (0.75 * self.hbar**2 / (x * x) + x * x)
-        return float(out) if out.ndim == 0 else out
+        return _pointwise(x, lambda x: x <= 0, "HalfHarmonic potential requires x > 0",
+                          lambda x: 0.5 * (0.75 * self.hbar**2 / (x * x) + x * x))
 
 
 @dataclass(frozen=True)
@@ -148,24 +154,21 @@ class AntiBox:
         """Exterior-region potential hbar^2 (2x^2 + b^2)/(b^2 - x^2)^2 + W/|x|,
         |x| > b.  Evaluation only; no spectrum solver exists for this variant."""
         b, hbar = self.geom.b, self.geom.hbar
-        x = np.asarray(x, dtype=float)
-        if np.any(np.abs(x) <= b):
-            raise DomainError("AntiBox potential requires |x| > b")
-        out = hbar**2 * (2.0 * x * x + b * b) / (b * b - x * x) ** 2 + self.W / np.abs(x)
-        return float(out) if out.ndim == 0 else out
+        return _pointwise(x, lambda x: np.abs(x) <= b, "AntiBox potential requires |x| > b",
+                          lambda x: _aq_wall(x, b, hbar) + self.W / np.abs(x))
 
 
 def boundary_asymptotic_ratio(x, geom=BoxGeometry()):
     """The AqBox potential at x divided by its wall asymptote
     (3/4) hbar^2 / (b - |x|)^2; tends to 1 as |x| -> b."""
     b, hbar = geom.b, geom.hbar
-    x = np.asarray(x, dtype=float)
-    s = b - np.abs(x)
-    if np.any(s <= 0):
-        raise DomainError("ratio defined inside the open box, |x| < b")
-    reference = 0.75 * hbar**2 / (s * s)
-    out = AqBox(geom).potential(x) / reference
-    return float(out) if out.ndim == 0 else out
+
+    def ratio(x):
+        s = b - np.abs(x)
+        return _aq_wall(x, b, hbar) / (0.75 * hbar**2 / (s * s))
+
+    return _pointwise(x, lambda x: np.abs(x) >= b, "ratio defined inside the open box, |x| < b",
+                      ratio)
 
 
 def singularity_metadata(model):
@@ -201,11 +204,11 @@ def half_ho_eigenfunction(k, x, hbar=1.0):
     x^{3/2} L_k^{(1)}(x^2/hbar) exp(-x^2 / 2 hbar) on x > 0."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise DomainError("half_ho_eigenfunction requires x > 0")
     from numpy.polynomial.laguerre import lagval  # deferred: ~3 ms, else loaded by sweeps only
-    t = x * x / hbar
-    # L_k^{(1)} = L_0 + L_1 + ... + L_k, a Laguerre series of k + 1 ones
-    out = x**1.5 * lagval(t, np.ones(k + 1)) * np.exp(-0.5 * t)
-    return float(out) if out.ndim == 0 else out
+
+    def mode(x):
+        t = x * x / hbar
+        # L_k^{(1)} = L_0 + L_1 + ... + L_k, a Laguerre series of k + 1 ones
+        return x**1.5 * lagval(t, np.ones(k + 1)) * np.exp(-0.5 * t)
+
+    return _pointwise(x, lambda x: x <= 0, "half_ho_eigenfunction requires x > 0", mode)

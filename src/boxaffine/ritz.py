@@ -211,14 +211,13 @@ class SpectrumResult:
         w = _basis(self.model, self.basis)[0]
         b = self.model.geom.b
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.zeros_like(xv)
-        inside = np.abs(xv) < b
-        if inside.any():
-            om, C = _sample(w, self.basis, xv[inside] / b)
-            out[inside] = om**w * (self.coefficients[:, k] @ C)
-        return float(out[0]) if scalar else out
+
+        def trial(x):
+            om, C = _sample(w, self.basis, x / b)
+            return om**w * (self.coefficients[:, k] @ C)
+
+        out = np.piecewise(x, [np.abs(x) < b], [trial])
+        return float(out) if out.ndim == 0 else out
 
 
 def compute_spectrum(model, n_basis, n_diagnostics=None):

@@ -13,7 +13,7 @@ import boxaffine
 from boxaffine import cli
 from boxaffine.boxmodes import BoxGeometry
 from boxaffine.potentials import AqBox
-from boxaffine.ritz import NotPositiveDefinite
+from boxaffine.ritz import NoConvergence
 from boxaffine.shooting import (GRID_SIZE, BracketFailure, boundary_exponent_probe,
                                 eigenvalue_search, numerov_integrate)
 
@@ -372,11 +372,11 @@ class TestSpectrum:
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
-            raise NotPositiveDefinite("synthetic failure")
+            raise NoConvergence("synthetic failure")
         monkeypatch.setattr(cli.ritz, "compute_spectrum", boom)
         code, _, err = run_cli(capsys, "spectrum", "--model", "cq-box", "--method", "rayleigh-ritz")
         assert code == 4
-        assert "NotPositiveDefinite" in err
+        assert "NoConvergence" in err
 
     def test_large_box_scales_like_unit_box(self, capsys):
         # the pencil holds only hbar^2/b and b, so no power of b overflows

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from boxaffine.boxmodes import BoxGeometry
+from boxaffine.boxmodes import BoxGeometry, cq_eigenfunction_extended
 from boxaffine.potentials import (DIRICHLET, INVERSE_SQUARE, AntiBox, AqBox, CqBox, DomainError,
                                   HalfHarmonic, ModelUnsupported, boundary_asymptotic_ratio,
                                   evaluate_potential, half_ho_eigenfunction, half_ho_eigenvalue,
                                   singularity_metadata)
+from boxaffine.ritz import compute_spectrum
 
 GEOM = BoxGeometry(1.0, 1.0)
 # L_k^{(1)}(t) = sum_i (-1)^i C(k + 1, k - i) t^i / i!
@@ -225,3 +226,33 @@ class TestHalfHoClosedForms:
         closed = x**1.5 * LAGUERRE_1[k](t) * np.exp(-0.5 * t)
         assert half_ho_eigenfunction(k, x, hbar) == pytest.approx(closed, rel=1e-12, abs=1e-13)
         assert half_ho_eigenfunction(k, 1e-6, hbar) / 1e-6**1.5 == pytest.approx(k + 1, rel=1e-9)
+
+
+# (function, a point inside, a point just outside, whether it extends by zero):
+# the six model functions raise outside their domain, the zero-extended modes
+# return 0.0 there
+POINTWISE = {
+    "cq-box": (CqBox(GEOM).potential, 0.3, np.nextafter(1.0, 2.0), False),
+    "aq-box": (AqBox(GEOM).potential, 0.3, 1.0, False),
+    "half-ho": (HalfHarmonic(1.0).potential, 0.3, 0.0, False),
+    "anti-box": (AntiBox(GEOM, 1.0).potential, 1.3, 1.0, False),
+    "wall-ratio": (boundary_asymptotic_ratio, 0.3, 1.0, False),
+    "half-ho-mode": (lambda x: half_ho_eigenfunction(2, x), 0.3, 0.0, False),
+    "cq-mode-extended": (cq_eigenfunction_extended(1, GEOM), 0.3, np.nextafter(2.0, 3.0), True),
+    "ritz-mode": (lambda x: compute_spectrum(AqBox(GEOM), 16).eigenfunction(1, x), 0.3, 1.0, True),
+}
+
+
+@pytest.mark.parametrize("name", POINTWISE)
+def test_scalar_point_gives_float(name):
+    fn, inside, outside, zero_extended = POINTWISE[name]
+    value, array = fn(inside), fn(np.array([inside]))
+    assert type(value) is float
+    assert np.array([value]).tobytes() == array.tobytes()
+    outside = float(outside)
+    if zero_extended:
+        value = fn(outside)
+        assert type(value) is float and value == 0.0
+    else:
+        with pytest.raises(DomainError):
+            fn(outside)
