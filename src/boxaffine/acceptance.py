@@ -3,10 +3,10 @@
 Each numbered criterion is a standalone callable returning a CriterionResult.
 Its check returns (ok, detail), and the ``_criterion`` wrapper times the whole
 call, fails it at or past its runtime bound, where it has one, and shows the
-runtime against that bound.  `run_all` executes them in order and, given a
-stream, prints one PASS/FAIL line apiece.  The CLI `validate` subcommand and
-the pytest acceptance module both run exactly these checks, at the tolerances
-stated here.
+runtime against that bound.  `run_all` executes them in order and yields each
+result as it finishes; the CLI `validate` subcommand prints one PASS/FAIL line
+apiece.  That subcommand and the pytest acceptance module both run exactly
+these checks, at the tolerances stated here.
 """
 
 import functools
@@ -133,7 +133,7 @@ def criterion_6_aq_box_cross_method():
         diag = spec.levels[k]
         structure_ok &= diag.parity == ("even" if k % 2 == 0 else "odd")
         structure_ok &= diag.node_count == k
-        # the node count alone is read, so no exponent probe (ShootingSpectrum.level)
+        # the node count alone is read, so the final shot without an exponent probe
         structure_ok &= shooting.numerov_integrate(model, e_sh, 40001).node_count == k
     return (worst <= 1e-6 and monotone and final_change <= 1e-8 and structure_ok,
             f"max rel delta {worst:.2e} (<=1e-6), monotone {monotone}, final change "
@@ -165,7 +165,7 @@ def criterion_8_boundary_asymptotics():
     spec = ritz.compute_spectrum(model, 48, n_diagnostics=1)
     rr_exp = spec.levels[0].boundary_exponent
     e0 = shooting.spectrum(model, 1, tol=1e-9).eigenvalues[0]
-    # the exponent alone is read, so no final shot (ShootingSpectrum.level)
+    # the exponent alone is read, so the wall-exponent probe without a final shot
     sh_exp = shooting.boundary_exponent_probe(model, e0)
     return (worst_ratio <= 5e-5 and abs(rr_exp - 1.5) <= 0.01 and abs(sh_exp - 1.5) <= 0.01,
             f"|ratio-1| {worst_ratio:.2e} (<=5e-5) at b-|x|=1e-4 b; exponents "
@@ -217,15 +217,9 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(stream=None):
-    """Run criteria 1-9 in order; one result per criterion, and one line per
-    criterion on ``stream`` when it is given."""
-    results = []
+def run_all():
+    """Run criteria 1-9 in order, yielding each result as its criterion
+    finishes."""
     shooting._lapack()  # the one-time LAPACK import, outside criterion 1's timer
     for fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
-        if stream is not None:
-            stream.write(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}\n")
-            stream.flush()
-    return results
+        yield fn()

@@ -6,12 +6,13 @@ choices and its rules.  ``parse_config`` takes every value from the command
 line, else from the ``--config`` file, else from that default; a file value
 converts as its command-line text would, and every value meets the same
 checks.  Which solvers a model admits follows from the walls it declares.
-``main`` runs the command and writes its report as JSON or through the
-command's CSV writer.
+``main`` runs the command and writes its report as JSON or as the command's
+CSV rows through ``_csv``, or prints each criterion's line for ``validate``.
 
 Reports are versioned JSON (schema "boxaffine/1") or plot-ready CSV.  Exit
-codes: 0 success, 2 usage error (including a non-finite number, and --b or
---hbar outside SCALE_RANGE), 3 cross-method disagreement, 4 solver failure.
+codes: 0 success, 2 usage error (including a non-finite number, --b or --hbar
+outside SCALE_RANGE, and a `potential` grid with a non-finite value), 3
+cross-method disagreement, 4 solver failure or a failed criterion.
 """
 
 import argparse
@@ -159,7 +160,8 @@ _FLAGS = {
     "x-max": Flag(None, float),
     "points": Flag(199, int, rules=(_within(2, MAX_POINTS),)),
     "target": Flag("toy", choices=("toy", "cq-eigenfunction")),
-    "n": Flag(1, int, rules=(_at_least(1),), help="mode index for cq-eigenfunction"),
+    # the bound keeps n*pi/(2b) and its square finite at every accepted --b
+    "n": Flag(1, int, rules=(_within(1, 10**6),), help="mode index for cq-eigenfunction"),
     "sizes": Flag("8,16,24,32,48", _basis_sizes, help="comma-separated ascending basis sizes",
                   rules=((lambda v: len(v) >= 2, "must list at least two basis sizes"),
                          (lambda v: all(x < y for x, y in zip(v, v[1:])), "must be strictly ascending"),
@@ -403,8 +405,7 @@ def run_spectrum(cfg):
         if cfg.dump_psi:
             for k, shot in enumerate(shots):
                 _write("dump-psi", os.path.join(cfg.dump_psi, f"psi_{index_base + k}.csv"),
-                       "x,psi\n" + "".join(f"{float(x)!r},{float(p)!r}\n"
-                                            for x, p in zip(shot.xs, shot.psi)))
+                       _csv([("x", "psi"), *zip(shot.xs, shot.psi)]))
         timings["shooting_s"] = time.perf_counter() - t0
 
     levels = []
@@ -474,7 +475,8 @@ def run_check_derivatives(cfg):
 
 
 def run_potential(cfg):
-    """(x, V) CSV rows; aq-box adds the wall-asymptote ratio column."""
+    """(x, V) CSV rows, the header first; aq-box adds the wall-asymptote ratio
+    column.  Its report is these rows."""
     model, b, root = cfg.model(), cfg.b, math.sqrt(cfg.hbar)
     lo, hi = {"cq-box": (-0.99 * b, 0.99 * b), "aq-box": (-0.99 * b, 0.99 * b),
               "half-ho": (0.01 * root, 6.0 * root), "anti-box": (1.01 * b, 5.0 * b)}[cfg.model_name]
@@ -482,17 +484,21 @@ def run_potential(cfg):
     hi = hi if cfg.x_max is None else cfg.x_max
     if not lo < hi:
         raise UsageError("--x-min must be < --x-max")
-    xs = np.linspace(lo, hi, cfg.points)
-    try:
-        columns = [xs, evaluate_potential(model, xs)]
-    except DomainError as exc:
-        raise UsageError(f"grid touches a singular point or leaves the domain: {exc}")
-    header = "x,V"
-    if cfg.model_name == "aq-box":
-        columns.append(boundary_asymptotic_ratio(xs, model.geom))
-        header += ",boundary_asymptotic_ratio"
-    rows = [",".join(repr(float(c)) for c in row) for row in zip(*columns)]
-    return _csv([header] + rows), EXIT_OK
+    header = ["x", "V"]
+    # a value that overflows is reported below as a usage error, not warned of
+    with np.errstate(all="ignore"):
+        xs = np.linspace(lo, hi, cfg.points)
+        try:
+            columns = [xs, evaluate_potential(model, xs)]
+        except DomainError as exc:
+            raise UsageError(f"grid touches a singular point or leaves the domain: {exc}")
+        if cfg.model_name == "aq-box":
+            columns.append(boundary_asymptotic_ratio(xs, model.geom))
+            header.append("boundary_asymptotic_ratio")
+    for name, column in zip(header, columns):
+        if not np.all(np.isfinite(column)):
+            raise UsageError(f"grid gives a non-finite {name}; narrow --x-min and --x-max")
+    return [header, *zip(*columns)], EXIT_OK
 
 
 def run_convergence(cfg):
@@ -510,47 +516,27 @@ def run_convergence(cfg):
     return report, EXIT_OK
 
 
-def run_validate():
-    results = acceptance.run_all(sys.stdout)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_SOLVER
-
-
-def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def hash_checked_region(report_json):
-    """Report text minus the timing section, for byte-identity checks."""
-    obj = json.loads(report_json)
-    obj.pop("timings", None)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _csv(rows):
-    return "\n".join(rows) + "\n"
+    """CSV text of rows, the header first: a float cell, numpy's included, as
+    repr(float(v)); None as an empty cell; anything else as str(v)."""
+    cell = lambda v: "" if v is None else repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
 
 
-def _spectrum_csv(report):
+def _spectrum_rows(report):
     levels = report["levels"]
-    cols = sorted({key for rec in levels for key in rec})
-    cols.remove("index")
-    cols = ["index"] + cols
-    lines = [",".join(cols)]
-    for rec in levels:
-        lines.append(",".join("" if rec.get(c) is None else repr(rec[c]) if isinstance(rec.get(c), float)
-                              else str(rec.get(c, "")) for c in cols))
-    return _csv(lines)
+    cols = ["index"] + sorted({key for rec in levels for key in rec} - {"index"})
+    return [cols] + [[rec.get(c) for c in cols] for rec in levels]
 
 
-def _derivatives_csv(report):
-    return _csv(["h,norm"] + [f"{r['h']!r},{r['norm']!r}" for r in report["h_scaling"]])
+def _derivatives_rows(report):
+    return [("h", "norm")] + [(r["h"], r["norm"]) for r in report["h_scaling"]]
 
 
-def _convergence_csv(report):
+def _convergence_rows(report):
     conv = report["convergence"]
-    header = "N," + ",".join(f"E{k}" for k in range(len(conv["energies"][0])))
-    return _csv([header] + [f"{n}," + ",".join(repr(e) for e in row)
-                            for n, row in zip(conv["sizes"], conv["energies"])])
+    header = ["N"] + [f"E{k}" for k in range(len(conv["energies"][0]))]
+    return [header] + [[n, *row] for n, row in zip(conv["sizes"], conv["energies"])]
 
 
 def _write(flag, path, text):
@@ -563,21 +549,27 @@ def _write(flag, path, text):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # each report command's runner and CSV writer; built per call, so the
-    # runners are the module's bindings at call time, wrapped ones included
-    reports = {"spectrum": (run_spectrum, _spectrum_csv), "potential": (run_potential, str),
-               "check-derivatives": (run_check_derivatives, _derivatives_csv),
-               "convergence": (run_convergence, _convergence_csv)}
+    # each report command's runner and CSV row builder (`potential` reports
+    # its rows); built per call, so the runners are the module's bindings at
+    # call time, wrapped ones included
+    reports = {"spectrum": (run_spectrum, _spectrum_rows), "potential": (run_potential, list),
+               "check-derivatives": (run_check_derivatives, _derivatives_rows),
+               "convergence": (run_convergence, _convergence_rows)}
     try:
         try:
             cfg = parse_config(argv)
         except SystemExit as exc:  # argparse usage failure (or --help)
             return int(exc.code or 0)
         if cfg.command == "validate":
-            return run_validate()
-        run, to_csv = reports[cfg.command]
+            passed = True
+            for res in acceptance.run_all():
+                print(f"{'PASS' if res.passed else 'FAIL'}  {res.name}: {res.detail}", flush=True)
+                passed &= res.passed
+            return EXIT_OK if passed else EXIT_SOLVER
+        run, to_rows = reports[cfg.command]
         report, code = run(cfg)
-        text = report_to_json(report) if cfg.fmt == "json" else to_csv(report)
+        text = (json.dumps(report, sort_keys=True, indent=2) + "\n" if cfg.fmt == "json"
+                else _csv(to_rows(report)))
         if cfg.out:
             _write("out", cfg.out, text)
         else:

@@ -16,8 +16,11 @@ import numpy as np
 
 from .quadrature import MAX_ORDER, gauss_legendre
 
-JUMP_THRESHOLD = 1e-10  # jumps below this are floating-point noise
-QUAD_TOL = 1e-10
+# a jump at most this fraction of the derivative's size on its two pieces is
+# rounding noise, at any scale of x
+JUMP_THRESHOLD = 1e-10
+JUMP_SAMPLES = 17  # points per piece, ends included, that measure that size
+QUAD_TOL = 1e-10  # relative agreement of two Gauss-Legendre orders
 
 
 class QuadratureFailure(RuntimeError):
@@ -94,21 +97,29 @@ class WeakDerivative:
         return not self.delta_terms and not self.delta_prime_terms
 
 
-def _limit_from_piece(piece, x0, which):
-    """Limit at the endpoint x0 from inside the piece: its evaluator at x0."""
+def _evaluator(piece, which):
     fn = (piece.f, piece.df, piece.d2f)[which]
     if fn is None:
         raise ValueError("piece lacks the requested derivative evaluator")
-    return float(fn(np.asarray(x0, dtype=float)))
+    return fn
+
+
+def _limit_from_piece(piece, x0, which):
+    """Limit at the endpoint x0 from inside the piece: its evaluator at x0."""
+    return float(_evaluator(piece, which)(np.asarray(x0, dtype=float)))
 
 
 def _jumps(pw, which):
-    """(location, jump) at every interior breakpoint, pruning sub-threshold jumps."""
+    """(location, jump) at every interior breakpoint, pruning each jump of at
+    most JUMP_THRESHOLD times the largest |derivative| sampled on the two
+    adjacent pieces."""
+    sizes = [float(np.max(np.abs(_evaluator(p, which)(np.linspace(p.lo, p.hi, JUMP_SAMPLES)))))
+             for p in pw.pieces]
     out = []
-    for left, right in zip(pw.pieces, pw.pieces[1:]):
+    for k, (left, right) in enumerate(zip(pw.pieces, pw.pieces[1:])):
         x0 = left.hi
         jump = _limit_from_piece(right, x0, which) - _limit_from_piece(left, x0, which)
-        if abs(jump) > JUMP_THRESHOLD:
+        if abs(jump) > JUMP_THRESHOLD * max(sizes[k], sizes[k + 1]):
             out.append(DeltaTerm(x0, jump))
     return tuple(out)
 
@@ -151,7 +162,7 @@ def l2_norm_squared(w):
         val = math.nan
         for n in (2**j for j in range(MAX_ORDER.bit_length())):  # 1, 2, 4, ..., MAX_ORDER
             prev, val = val, gauss_legendre(n).integrate(lambda x: p.f(x) ** 2, p.lo, p.hi)
-            if abs(val - prev) <= max(QUAD_TOL, QUAD_TOL * abs(val)):
+            if abs(val - prev) <= QUAD_TOL * abs(val):  # an integral of 0 stops too
                 break
         else:
             raise QuadratureFailure(f"orders up to {MAX_ORDER} disagree on ({p.lo}, {p.hi})")

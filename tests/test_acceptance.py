@@ -66,7 +66,7 @@ def test_first_criterion_starts_with_lapack_loaded():
             "    seen.append('scipy.linalg' in sys.modules)\n"
             "    return acceptance.CriterionResult('first', True, '', 0.0)\n"
             "acceptance.ALL_CRITERIA = (first,)\n"
-            "acceptance.run_all()\n"
+            "list(acceptance.run_all())\n"
             "print(*seen)")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
@@ -78,7 +78,7 @@ def test_unbounded_criterion_shows_no_runtime():
     assert res.passed and res.detail == "ok" and res.runtime_s >= 0.0
 
 
-def test_criterion_10_cli_contract(capsys, tmp_path):
+def test_criterion_10_cli_contract(capsys, tmp_path, checked_region):
     # validate runs criteria 1-9 end to end and exits 0
     code = cli.main(["validate"])
     out = capsys.readouterr().out
@@ -93,8 +93,8 @@ def test_criterion_10_cli_contract(capsys, tmp_path):
     assert cli.main(args + ["--out", str(out1)]) == 0
     assert cli.main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
-    r1 = cli.hash_checked_region(out1.read_text())
-    r2 = cli.hash_checked_region(out2.read_text())
+    r1 = checked_region(out1.read_text())
+    r2 = checked_region(out2.read_text())
     assert r1.encode() == r2.encode()
     # and the timing-stripped region still carries the full physics payload
     assert json.loads(r1)["levels"][0]["relative_delta"] <= 1e-6

@@ -12,7 +12,7 @@ import pytest
 import boxaffine
 from boxaffine import cli
 from boxaffine.boxmodes import BoxGeometry
-from boxaffine.potentials import AqBox
+from boxaffine.potentials import AqBox, HalfHarmonic, boundary_asymptotic_ratio, evaluate_potential
 from boxaffine.ritz import NoConvergence
 from boxaffine.shooting import (GRID_SIZE, BracketFailure, boundary_exponent_probe,
                                 eigenvalue_search, numerov_integrate)
@@ -149,7 +149,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize("argv, key", [
         (("spectrum", "--model", "aq-box", "--method", "shooting"), "grid-size"),
-        (("potential", "--model", "aq-box"), "points")], ids=["grid-size", "points"])
+        (("potential", "--model", "aq-box"), "points"),
+        (("check-derivatives", "--target", "cq-eigenfunction"), "n")],
+        ids=["grid-size", "points", "n"])
     def test_size_beyond_its_bound_is_usage_error(self, capsys, tmp_path, argv, key, by_config):
         # 10^13 points would be ~73 TiB, which numpy refuses without
         # allocating, so the test costs no memory even without the bound
@@ -245,14 +247,14 @@ class TestSpectrum:
         assert [lv["node_count"] for lv in report["levels"]] == [0, 1, 2]
         jsonschema.validate(report, cli.SPECTRUM_REPORT_SCHEMA)
 
-    def test_determinism_of_hash_region(self, capsys, tmp_path):
+    def test_determinism_of_hash_region(self, capsys, tmp_path, checked_region):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["spectrum", "--model", "cq-box", "--levels", "2", "--method", "both"]
         assert cli.main(args + ["--out", str(out1)]) == 0
         assert cli.main(args + ["--out", str(out2)]) == 0
         capsys.readouterr()
-        region1 = cli.hash_checked_region(out1.read_text())
-        region2 = cli.hash_checked_region(out2.read_text())
+        region1 = checked_region(out1.read_text())
+        region2 = checked_region(out2.read_text())
         assert region1.encode() == region2.encode()
 
     def test_dump_psi_files(self, capsys, tmp_path):
@@ -420,6 +422,66 @@ def test_every_report_is_strict_json(capsys, argv):
         json.loads(out, parse_constant=_reject_constant)
 
 
+def _assert_cells_hold(text, rows):
+    """Each CSV line holds its row: a float cell parses back to exactly the
+    float, an int cell reads as that int, and None is an empty cell."""
+    lines = text.split("\n")
+    assert lines.pop() == "" and len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        cells = line.split(",")
+        assert len(cells) == len(row)
+        for cell, value in zip(cells, row):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert cell == str(value)
+
+
+def test_every_csv_cell_holds_its_value(capsys, tmp_path):
+    # the same run's JSON report is the oracle for the report CSVs
+    def csv_and_report(*argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        return csv, json.loads(out)
+
+    for argv in (("--model", "aq-box", "--method", "both", "--levels", "3"),
+                 ("--model", "half-ho", "--levels", "2")):
+        csv, report = csv_and_report("spectrum", *argv)
+        cols = csv.split("\n", 1)[0].split(",")
+        assert cols[0] == "index" and cols[1:] == sorted(set(report["levels"][0]) - {"index"})
+        _assert_cells_hold(csv, [cols] + [[lv.get(c) for c in cols] for lv in report["levels"]])
+    assert report["levels"][0]["parity"] is None  # half-ho: empty parity cells
+
+    for target in ("toy", "cq-eigenfunction"):
+        csv, report = csv_and_report("check-derivatives", "--target", target)
+        _assert_cells_hold(csv, [["h", "norm"]] + [[r["h"], r["norm"]] for r in report["h_scaling"]])
+
+    csv, report = csv_and_report("convergence", "--model", "aq-box", "--sizes", "8,16",
+                                 "--levels", "2")
+    conv = report["convergence"]
+    _assert_cells_hold(csv, [["N", "E0", "E1"]] + [[n, *row] for n, row in
+                                                   zip(conv["sizes"], conv["energies"])])
+
+    code, csv, _ = run_cli(capsys, "potential", "--model", "aq-box", "--points", "7")
+    assert code == 0
+    xs = np.linspace(-0.99, 0.99, 7)
+    _assert_cells_hold(csv, [["x", "V", "boundary_asymptotic_ratio"]] + [
+        [float(x), float(v), float(r)] for x, v, r in
+        zip(xs, evaluate_potential(AqBox(), xs), boundary_asymptotic_ratio(xs, BoxGeometry()))])
+
+    dest = tmp_path / "waves"
+    code, out, _ = run_cli(capsys, "spectrum", "--model", "half-ho", "--levels", "1",
+                           "--dump-psi", str(dest))
+    assert code == 0
+    shot = numerov_integrate(HalfHarmonic(), json.loads(out)["levels"][0]["energy"], GRID_SIZE)
+    _assert_cells_hold((dest / "psi_0.csv").read_text(),
+                       [["x", "psi"]] + [[float(x), float(p)] for x, p in zip(shot.xs, shot.psi)])
+
+
 def run_cli_process(*argv, timeout=60):
     # a separate process with a timeout, so a search that never ends fails
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
@@ -560,12 +622,20 @@ class TestPotential:
         (("--model", "anti-box", "--W", "inf"), "--W"),
         (("--x-min=-inf",), "--x-min"),
         (("--x-max", "inf"), "--x-max"),
-        (("--model", "half-ho", "--x-max", "inf"), "--x-max")],
-        ids=["W-nan", "W-inf", "x-min", "x-max", "half-ho-x-max"])
+        (("--model", "half-ho", "--x-max", "inf"), "--x-max"),
+        # a finite grid on which a column overflows: V near 0 and far out, x
+        # itself when --x-max - --x-min does
+        (("--model", "half-ho", "--x-min", "1e-300", "--x-max", "1", "--points", "3"), "V;"),
+        (("--model", "half-ho", "--x-min", "1e200", "--x-max", "1e201", "--points", "3"), "V;"),
+        (("--model", "anti-box", "--x-min=-1e308", "--x-max", "1e308", "--points", "3"), "x;")],
+        ids=["W-nan", "W-inf", "x-min", "x-max", "half-ho-x-max", "V-near-0", "V-far-out", "x-range"])
     def test_non_finite_value_is_usage_error(self, capsys, argv, flag):
-        # once a traceback (--W), or rows of nan and inf with exit 0
+        # once a traceback (--W), or rows of nan and inf with exit 0 and, for
+        # an overflowing column, a numpy RuntimeWarning, which pytest makes an
+        # error: one error line, naming the flag or the column
         code, out, err = run_cli(capsys, "potential", *argv)
         assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert flag in err
 
     def test_json_format_is_usage_error(self, capsys):

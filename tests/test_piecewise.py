@@ -112,6 +112,30 @@ class TestWeakSecondDerivative:
                 jump = float(right.df(d.location)) - float(left.df(d.location))
                 assert d.coefficient == pytest.approx(jump, abs=1e-12)
 
+    def test_jumps_are_weighed_against_their_pieces(self):
+        # the slope jumps by n pi/(2b) at each wall, however small or large
+        # that is, so a jump is weighed against the derivative on its pieces
+        for b in (1e-50, 1.0, 1e11, 1e50):
+            for n in (1, 2, 10**6):
+                w = weak_second_derivative(cq_eigenfunction_extended(n, BoxGeometry(b)))
+                assert [d.location for d in w.delta_terms] == [-b, b]
+                for d in w.delta_terms:
+                    assert abs(d.coefficient) == pytest.approx(n * math.pi / (2.0 * b),
+                                                               rel=1e-12, abs=0.0)
+                assert w.delta_prime_terms == ()
+        # and not against its two limits alone: cos(pi x/2) leaves ~6e-17 at
+        # the walls, rounding noise beside a function of size 1, not a jump
+        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        cos = lambda x: np.cos(0.5 * math.pi * np.asarray(x, dtype=float))
+        sin = lambda x: -0.5 * math.pi * np.sin(0.5 * math.pi * np.asarray(x, dtype=float))
+        d2 = lambda x: -0.25 * math.pi**2 * cos(x)
+        pw = PiecewiseSmooth((Piece(-2.0, -1.0, zero, zero, zero), Piece(-1.0, 1.0, cos, sin, d2),
+                              Piece(1.0, 2.0, zero, zero, zero)))
+        assert _limit_from_piece(pw.pieces[1], 1.0, 0) != 0.0
+        w = weak_second_derivative(pw)
+        assert w.delta_prime_terms == ()
+        assert [d.location for d in w.delta_terms] == [-1.0, 1.0]
+
 
 class TestL2NormSquared:
     def test_infinite_when_delta_present(self):
@@ -133,14 +157,14 @@ class TestL2NormSquared:
                             lambda x: np.zeros_like(np.asarray(x, float)))
         assert l2_norm_squared(weak_derivative(zero)) == 0.0
 
-    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, 1e12, 1e50])
     def test_first_derivative_of_every_mode(self, b):
         # int_{-b}^{b} k^2 (sin or cos)^2(k x) dx = k^2 b; mode 120 has 120
         # half-waves in the box, which no rule below order 256 resolves
         for n in range(1, 121):
             k = n * math.pi / (2.0 * b)
             w = weak_derivative(cq_eigenfunction_extended(n, BoxGeometry(b)))
-            assert l2_norm_squared(w) == pytest.approx(k * k * b, rel=1e-9)
+            assert l2_norm_squared(w) == pytest.approx(k * k * b, rel=1e-9, abs=0.0)
 
     def test_unresolved_piece_raises(self):
         # sin^2(5000 x) has ~1600 periods on (0, 1), beyond order MAX_ORDER
