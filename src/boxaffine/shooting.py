@@ -28,7 +28,11 @@ h^2 and cut Numerov from fourth to second order at the wall.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,11 +104,35 @@ def _grid(model, size):
 
 @functools.lru_cache(maxsize=1)
 def _lapack():
-    """LAPACK's dtbtrs and dtrtrs, imported on the first sweep: scipy.linalg
-    costs about 0.24 s and 27 MB per process, which a run that never sweeps
-    (a Ritz-only spectrum, say) need not pay."""
-    from scipy.linalg.lapack import dtbtrs, dtrtrs
-    return dtbtrs, dtrtrs
+    """LAPACK's dtbtrs and dtrtrs, loaded on the first sweep from scipy's
+    ``linalg/_flapack`` extension alone.
+
+    ``scipy.linalg.lapack`` re-exports these very function objects, but
+    importing it runs the whole ``scipy.linalg`` package, about 0.17 s and
+    27 MB per process; the extension alone costs about 6 ms and 3 MB.  A run
+    that never sweeps (a Ritz-only spectrum, say) pays neither.  The module
+    is registered as ``scipy.linalg._flapack``, so a later ``import
+    scipy.linalg`` reuses it, and one already imported is reused here.
+    """
+    name = "scipy.linalg._flapack"
+    flapack = sys.modules.get(name)
+    if flapack is None:
+        # importlib.import_module(name) would import the parent package
+        # scipy.linalg first, which is the cost this load avoids
+        import scipy
+        found = importlib.machinery.PathFinder.find_spec(
+            "_flapack", [os.path.join(path, "linalg") for path in scipy.__path__])
+        if found is None:
+            raise ImportError(f"no linalg/_flapack extension in scipy {scipy.__version__}")
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        flapack = importlib.util.module_from_spec(spec)
+        sys.modules[name] = flapack
+        try:
+            spec.loader.exec_module(flapack)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return flapack.dtbtrs, flapack.dtrtrs
 
 
 _RESCALE_EVERY = 512  # Numerov steps between overflow checks

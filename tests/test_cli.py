@@ -539,14 +539,15 @@ def test_spectrum_run_leaves_scipy_optimize_unloaded():
     assert out.strip() == "0 False False"
 
 
-def test_only_a_sweep_loads_scipy_linalg():
-    # scipy supplies shooting's two LAPACK calls and nothing else, imported
-    # on the first sweep, so a run that sweeps nothing loads no scipy module
-    # and never pays scipy.linalg's ~0.24 s and ~27 MB: not the commands
-    # below, nor criterion 9's dense eigensolve or a finite l2_norm_squared.
-    # Nor do the commands load numpy.polynomial, which the Gauss-Legendre
-    # rule (criterion 9, l2_norm_squared) and the half-line eigenfunction
-    # import where they run; --method both sweeps, and is the control
+def test_only_a_sweep_loads_scipy_and_only_its_lapack_extension():
+    # scipy supplies shooting's two LAPACK calls and nothing else, loaded on
+    # the first sweep, so a run that sweeps nothing loads no scipy module:
+    # not the commands below, nor criterion 9's dense eigensolve or a finite
+    # l2_norm_squared.  Nor do the commands load numpy.polynomial, which the
+    # Gauss-Legendre rule (criterion 9, l2_norm_squared) and the half-line
+    # eigenfunction import where they run.  --method both sweeps, and is the
+    # control: it loads scipy's linalg/_flapack extension (~6 ms, ~3 MB) but
+    # not the scipy.linalg package (~0.17 s, ~27 MB) or its scipy._lib._util
     env = dict(os.environ, PYTHONPATH=str(Path(boxaffine.__file__).parents[1]))
     code = ("import contextlib, io, sys, boxaffine.cli as cli\n"
             "from boxaffine import BoxGeometry, acceptance, cq_eigenfunction_extended\n"
@@ -566,7 +567,9 @@ def test_only_a_sweep_loads_scipy_linalg():
             "print('criterion-9', acceptance.criterion_9_infrastructure().passed, *loaded())\n"
             "w = weak_derivative(cq_eigenfunction_extended(3, BoxGeometry(1.0)))\n"
             "print('l2_norm_squared', round(l2_norm_squared(w), 6), *loaded())\n"
-            "run(['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2'])\n")
+            "run(['spectrum', '--model', 'aq-box', '--method', 'both', '--levels', '2'])\n"
+            "print(*(name in sys.modules\n"
+            "        for name in ('scipy.linalg', 'scipy._lib._util', 'scipy.linalg._flapack')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split("\n")[:-1] == ["import False False", "potential 0 False False",
@@ -574,7 +577,7 @@ def test_only_a_sweep_loads_scipy_linalg():
                                     "convergence 0 False False", "spectrum 0 False False",
                                     "criterion-9 True False True",
                                     "l2_norm_squared 22.20661 False True",
-                                    "spectrum 0 True True"]
+                                    "spectrum 0 True True", "False False True"]
 
 
 def test_python_m_boxaffine_runs_the_cli():

@@ -1,11 +1,16 @@
 import ast
 import functools
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg.lapack import dtrtrs
 
 from boxaffine.boxmodes import BoxGeometry, cq_eigenvalue
@@ -950,3 +955,40 @@ def test_kernel_rejects_unit_step_coefficient():
         psi[1] = 1e-3
         with pytest.raises(ZeroDivisionError, match="step 699"):
             _numerov(T, psi, 1)
+
+
+@pytest.mark.parametrize("sweep_first", [True, False], ids=["sweep-first", "scipy-first"])
+def test_kernel_calls_scipys_own_lapack_functions(sweep_first):
+    # _lapack loads scipy's linalg/_flapack extension without the scipy.linalg
+    # package; scipy.linalg.lapack re-exports that extension's functions, so
+    # in either import order the kernel must hold the very objects it exposes
+    env = dict(os.environ, PYTHONPATH=str(Path(shooting.__file__).parents[1]))
+    sweep = "from boxaffine import shooting\nfirst = shooting._lapack()\n"
+    load = "import sys, scipy.linalg.lapack as lapack\n"
+    code = ((sweep + load) if sweep_first else (load + sweep)) + (
+        "print(first[0] is lapack.dtbtrs, first[1] is lapack.dtrtrs,\n"
+        "      shooting._lapack() is first,\n"
+        "      lapack._flapack is sys.modules['scipy.linalg._flapack'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "True True True True"
+
+
+def test_lapack_load_fails_without_scipys_extension(monkeypatch, tmp_path):
+    # no fallback to scipy.linalg.lapack: a scipy without a loadable
+    # linalg/_flapack raises ImportError and registers no module
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    (tmp_path / "linalg").mkdir()
+    shooting._lapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}"):
+            shooting._lapack()
+        assert "scipy.linalg._flapack" not in sys.modules
+        broken = tmp_path / "linalg" / ("_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        broken.write_bytes(b"not a shared object")
+        with pytest.raises(ImportError):
+            shooting._lapack()
+        assert "scipy.linalg._flapack" not in sys.modules
+    finally:
+        shooting._lapack.cache_clear()
