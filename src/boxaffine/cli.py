@@ -145,10 +145,9 @@ _FLAGS = {
                       rules=(_within(shooting.MIN_GRID_SIZE, shooting.MAX_GRID_SIZE),),
                       help=f"shooting grid points, in [{shooting.MIN_GRID_SIZE}, "
                            f"{shooting.MAX_GRID_SIZE}]"),
-    "tol": Flag(shooting.TOL, float, rules=((lambda v: shooting.MIN_TOL <= v <= 1e-2,
-                                             f"must be in [{shooting.MIN_TOL:g}, 1e-2]"),),
+    "tol": Flag(shooting.TOL, float, rules=(_within(shooting.MIN_TOL, shooting.MAX_TOL),),
                 help="shooting search width, in units of hbar^2/b^2 (boxes) or hbar (half-ho); "
-                     f"in [{shooting.MIN_TOL:g}, 1e-2]"),
+                     f"in [{shooting.MIN_TOL:g}, {shooting.MAX_TOL:g}]"),
     "method": Flag(None, choices=("rayleigh-ritz", "shooting", "both")),
     # unset, it is csv for `potential` and json otherwise
     "format": Flag(None, choices=("json", "csv"), dest="fmt",

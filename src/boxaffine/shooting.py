@@ -13,6 +13,9 @@ also gives dTheta/dE, at every energy and not only at the roots, by the
 Wronskian identity with the terms that cancel at a root kept in, so each
 level is found by a safeguarded Newton iteration, started from the
 quadratic in sqrt(E) through the last three probes of a doubling scan.
+On a fine grid (TWO_GRID_SIZE points or more) the scan and that search run
+on the default grid, and a few Newton steps on the fine grid's Theta finish
+the level from the coarse root.
 The final shot at a level takes the same branches, scales the right one to
 the left by their Pruefer vectors at the match point and joins them there;
 on a mirror-symmetric model the sign of that scale is the parity.  Fully
@@ -72,6 +75,12 @@ MIN_GRID_SIZE = 1000  # fewest grid points, of the API and of --grid-size
 MAX_GRID_SIZE = 10**6  # most grid points, of the API and of --grid-size
 TOL = 1e-8  # default search width, of eigenvalue_search and of the CLI's --tol
 MIN_TOL = 1e-10  # narrowest search width, of eigenvalue_search and of --tol
+MAX_TOL = 1e-2  # widest search width, of eigenvalue_search and of --tol
+# fewest grid points whose levels are searched on the GRID_SIZE grid and
+# finished by Newton on their own (eigenvalue_search); on 8001 points that
+# was slower than searching the grid itself
+TWO_GRID_SIZE = 5 * (GRID_SIZE - 1) + 1
+_POLISH_STEPS = 3  # fine-grid Newton steps before _polish hands a level to _search
 PROBE_GRID_SIZE = 40001  # boundary_exponent_probe's grid: ~200 fit points on a box, 33 on half-ho
 E_MAX_FACTOR = 1e4  # eigenvalue_search ceiling, in units of the energy scale
 SERIES_FRAC = 0.05  # wall series region, in units of the length scale
@@ -287,10 +296,11 @@ class _Setup:
     phases: dict
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _setup(model, grid_size):
-    # one entry: the levels of one spectrum share it, and the first shot on
-    # another (model, grid_size) drops it
+    # two entries: the levels of one spectrum share it, and on a grid of
+    # TWO_GRID_SIZE points or more the GRID_SIZE grid that searches them
+    # keeps its scan memo beside the fine grid that finishes them
     xs, h, eps = _grid(model, grid_size)
     V = evaluate_potential(model, xs)
     xs.flags.writeable = False
@@ -480,12 +490,61 @@ def numerov_integrate(model, E, grid_size=GRID_SIZE):
     return MatchResult(E, count_nodes(psi), parity, setup.xs, psi)
 
 
+def _search(setup, k, tol):
+    """Level k on setup's grid, to width tol * energy_scale: the doubling
+    scan and Newton search that ``eigenvalue_search`` describes."""
+    scale = setup.model.energy_scale
+    e_max = E_MAX_FACTOR * scale
+    target = k + 1
+
+    lo, hi, prev = 0.0, scale, None
+    theta_lo, theta_hi = 0.0, _phase(setup, hi)[0]  # Theta >= 0, and lo = 0 lies below every level
+    while theta_hi < target:
+        if hi >= e_max:
+            raise BracketFailure(
+                f"level {k}: node transition not found below {e_max:.3g} "
+                f"(upper side reached the ceiling)")
+        prev = (lo, theta_lo) if lo else None  # lo = 0 is no probe
+        lo, theta_lo = hi, theta_hi
+        hi = min(2.0 * hi, e_max)
+        theta_hi = _phase(setup, hi)[0]
+    return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi,
+                   tol * scale, prev)
+
+
+def _polish(setup, k, E, tol):
+    """Level k on setup's grid, by Newton in sqrt(E) on its Theta from E,
+    the level's root on another grid.
+
+    It stops once a step is at most half the width, as ``_newton`` does, or
+    at most 0.1 sqrt(width E): such a step leaves a second-order remainder
+    of about step^2 / (4 E), at most width / 400, where Theta is linear in
+    E (the half line), and none where it is linear in sqrt(E) (cq-box).  It
+    hands the level to ``_search`` on this grid if Theta at a step is not
+    within 1/2 of k + 1, where level k's root is the only one near, if its
+    slope there is not positive and finite, or if it has not stopped after
+    _POLISH_STEPS steps.
+    """
+    target, width = k + 1, tol * setup.model.energy_scale
+    for _ in range(_POLISH_STEPS):
+        value, slope = _phase(setup, E)
+        if not (abs(value - target) <= 0.5 and 0.0 < slope < math.inf):
+            break
+        s = math.sqrt(E)
+        new = (s - (value - target) / (2.0 * s * slope)) ** 2
+        if abs(new - E) <= max(0.5 * width, 0.1 * math.sqrt(width * E)):
+            return new
+        E = new
+    return _search(setup, k, tol)
+
+
 def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
     """k-th eigenvalue (k interior nodes), to width tol * model.energy_scale,
     on a grid of ``grid_size`` points over the model's declared ends.
 
-    ``tol`` is relative to the model's energy unit, hbar^2/b^2 for the boxes
-    and hbar for the half-line oscillator, so every scale is resolved alike.
+    ``k`` is an int >= 0, and ``tol``, in [MIN_TOL, MAX_TOL], is relative to
+    the model's energy unit, hbar^2/b^2 for the boxes and hbar for the
+    half-line oscillator, so every scale is resolved alike.
     Level k is the root of Theta(E) = k + 1, with Theta the continuous
     counting phase of ``_phase``.  A doubling scan from the energy scale
     finds the first point where Theta >= k + 1, its last probe the ceiling
@@ -503,29 +562,21 @@ def eigenvalue_search(model, k, tol=TOL, grid_size=GRID_SIZE):
     to a second-order term, so the result lies within the width of it,
     though no bracket of that width is checked.  It also stops once the
     bracket is at most the width and returns its midpoint.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if tol < MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL:g}")
-    setup = _setup(model, grid_size)
-    scale = model.energy_scale
-    e_max = E_MAX_FACTOR * scale
-    target = k + 1
 
-    lo, hi, prev = 0.0, scale, None
-    theta_lo, theta_hi = 0.0, _phase(setup, hi)[0]  # Theta >= 0, and lo = 0 lies below every level
-    while theta_hi < target:
-        if hi >= e_max:
-            raise BracketFailure(
-                f"level {k}: node transition not found below {e_max:.3g} "
-                f"(upper side reached the ceiling)")
-        prev = (lo, theta_lo) if lo else None  # lo = 0 is no probe
-        lo, theta_lo = hi, theta_hi
-        hi = min(2.0 * hi, e_max)
-        theta_hi = _phase(setup, hi)[0]
-    return _newton(functools.partial(_phase, setup), target, lo, hi, theta_lo, theta_hi,
-                   tol * scale, prev)
+    On a grid of TWO_GRID_SIZE points or more the scan and search run on
+    the GRID_SIZE grid, whose root Numerov's fourth order puts within about
+    2e-10 relative of the fine one, and Newton on the fine grid's Theta
+    finishes the level from there, or the fine grid's own search where
+    Newton does not settle (``_polish``).
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ValueError("k must be an int >= 0")
+    if not MIN_TOL <= tol <= MAX_TOL:  # a NaN fails both comparisons
+        raise ValueError(f"tol must be in [{MIN_TOL:g}, {MAX_TOL:g}]")
+    setup = _setup(model, grid_size)
+    if grid_size < TWO_GRID_SIZE:
+        return _search(setup, k, tol)
+    return _polish(setup, k, _search(_setup(model, GRID_SIZE), k, tol), tol)
 
 
 def wavefunction(model, E, grid_size=GRID_SIZE):

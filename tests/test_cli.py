@@ -128,7 +128,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("flag, value, accepted", [
         ("--grid-size", "1000", True), ("--grid-size", "999", False),
         ("--grid-size", "1000001", False),
-        ("--tol", "1e-10", True), ("--tol", "9.9e-11", False)])
+        ("--tol", "1e-10", True), ("--tol", "9.9e-11", False),
+        ("--tol", "1e-2", True), ("--tol", "0.011", False), ("--tol", "nan", False),
+        ("--tol", "inf", False)])
     def test_shooting_limits_match_the_api(self, flag, value, accepted):
         # the CLI reads its limits from shooting, so the two accept and reject alike
         try:

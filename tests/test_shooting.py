@@ -19,11 +19,12 @@ from boxaffine.potentials import (AntiBox, AqBox, CqBox, HalfHarmonic, ModelUnsu
 from boxaffine.ritz import compute_spectrum
 from boxaffine import cli, shooting
 from boxaffine.boxmodes import count_nodes
-from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, MAX_GRID_SIZE,
-                                PROBE_GRID_SIZE, SERIES_FRAC, BracketFailure, _end, _End, _grid,
-                                _launch, _newton, _numerov, _numerov_t, _phase, _probe, _setup,
-                                _start, _sweep, _turns, boundary_exponent_probe,
-                                eigenvalue_search, numerov_integrate, wavefunction)
+from boxaffine.shooting import (_A0, E_MAX_FACTOR, EPS_FRAC, GRID_SIZE, MAX_GRID_SIZE, MAX_TOL,
+                                MIN_TOL, PROBE_GRID_SIZE, SERIES_FRAC, TWO_GRID_SIZE,
+                                BracketFailure, _end, _End, _grid, _launch, _newton, _numerov,
+                                _numerov_t, _phase, _polish, _probe, _search, _setup, _start,
+                                _sweep, _turns, boundary_exponent_probe, eigenvalue_search,
+                                numerov_integrate, wavefunction)
 
 GEOM = BoxGeometry(1.0, 1.0)
 CQ = CqBox(GEOM)
@@ -154,6 +155,26 @@ class TestEigenvalueSearch:
         with pytest.raises(ValueError):
             eigenvalue_search(CQ, 0, tol=1e-12)
 
+    @pytest.mark.parametrize("k", [1.5, True, -1])
+    def test_level_must_be_a_nonnegative_int(self, k):
+        # k = 1.5 had returned 21.11, a point between levels 1 and 2, and
+        # True had been taken as level 1
+        with pytest.raises(ValueError):
+            eigenvalue_search(AQ, k, grid_size=1000)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.011])
+    def test_tol_must_be_in_range(self, tol):
+        # tol = nan had never returned, and tol = inf had returned 6.302 for
+        # level 0, whose value is 4.622
+        with pytest.raises(ValueError):
+            eigenvalue_search(AQ, 0, tol=tol, grid_size=1000)
+        with pytest.raises(ValueError):
+            shooting.spectrum(AQ, 2, tol=tol, grid_size=1000)
+
+    def test_tol_limits_are_accepted(self):
+        for tol in (MIN_TOL, MAX_TOL):
+            assert eigenvalue_search(AQ, 0, tol=tol, grid_size=1000) == pytest.approx(4.622, rel=1e-2)
+
     @pytest.mark.parametrize("b, hbar", [(1000.0, 1.0), (1.0, 1e4), (1e-3, 1.0), (1.0, 1e-3)])
     def test_tol_relative_to_energy_scale(self, b, hbar):
         # an absolute width would return bracket midpoints at small scales and
@@ -245,6 +266,101 @@ class TestEigenvalueSearch:
     def test_half_line_scaling_law(self, hbar):
         got = [eigenvalue_search(HalfHarmonic(hbar), k, tol=1e-10) / hbar for k in range(5)]
         assert got == pytest.approx(_unit_levels(HalfHarmonic(1.0), 5), rel=1e-10)
+
+
+# three decades apart in energy scale each way: hbar^2/b^2 = 1, 1e-4 and 9e4
+# on the boxes, hbar = 1, 1e-3 and 1e3 on the half line
+SCALED_MODELS = {
+    "aq-box": [AqBox(BoxGeometry(b, hbar)) for b, hbar in ((1.0, 1.0), (10.0, 0.1), (0.01, 3.0))],
+    "cq-box": [CqBox(BoxGeometry(b, hbar)) for b, hbar in ((1.0, 1.0), (10.0, 0.1), (0.01, 3.0))],
+    "half-ho": [HalfHarmonic(hbar) for hbar in (1.0, 1e-3, 1e3)],
+}
+FINE_GRIDS = pytest.mark.parametrize("size", [20001, 40001])
+
+
+class TestTwoGridSearch:
+    # from TWO_GRID_SIZE points a level is searched on the GRID_SIZE grid and
+    # finished by Newton on its own grid's Theta
+
+    def test_threshold(self):
+        assert TWO_GRID_SIZE == 20001 == 5 * (GRID_SIZE - 1) + 1
+        # below it a level is the grid's own search, bit for bit
+        _setup.cache_clear()
+        for k in range(3):
+            assert eigenvalue_search(HO, k, tol=1e-8, grid_size=8001) == _search(_setup(HO, 8001), k, 1e-8)
+
+    @FINE_GRIDS
+    @pytest.mark.parametrize("name", SCALED_MODELS)
+    def test_agrees_with_the_fine_grid_search(self, name, size):
+        # each level lies within the width of the fine grid's own search and
+        # has its k nodes there.  Worst measured: 0.44 of the width (aq-box,
+        # 40001 points, tol 1e-8)
+        for model in SCALED_MODELS[name]:
+            for tol in (1e-8, 1e-10):
+                _setup.cache_clear()
+                for k in range(12):
+                    got = eigenvalue_search(model, k, tol=tol, grid_size=size)
+                    ref = _search(_setup(model, size), k, tol)
+                    assert abs(got - ref) <= tol * model.energy_scale
+                    assert numerov_integrate(model, got, size).node_count == k
+
+    @pytest.mark.parametrize("name", SCALED_MODELS)
+    def test_sweeps_fewer_points(self, name, monkeypatch):
+        # a count, not a timing: kernel points of 12 levels, two-grid against
+        # the fine grid's own search.  Measured ratios: aq-box 0.37-0.51,
+        # cq-box 0.65-0.79, half-ho 0.77-0.96.  On 8001 points half-ho and
+        # cq-box took more time two-grid than direct, hence the threshold
+        points = []
+
+        def counted(T, psi, i0):
+            points.append(T.shape[0] - 1 - i0)
+            return _numerov(T, psi, i0)
+
+        monkeypatch.setattr(shooting, "_numerov", counted)
+        model = SCALED_MODELS[name][0]
+        for size in (20001, 40001):
+            for tol in (1e-8, 1e-10):
+                _setup.cache_clear()
+                points.clear()
+                for k in range(12):
+                    eigenvalue_search(model, k, tol=tol, grid_size=size)
+                two_grid = sum(points)
+                _setup.cache_clear()
+                points.clear()
+                for k in range(12):
+                    _search(_setup(model, size), k, tol)
+                assert two_grid <= sum(points)
+
+    @pytest.mark.parametrize("model", [CQ, AQ, HO], ids=["cq-box", "aq-box", "half-ho"])
+    def test_polish_from_the_next_level_falls_back(self, model, monkeypatch):
+        # started at level k + 1, Theta is about k + 2 there, not within 1/2
+        # of k + 1, so the level is handed to the fine grid's search
+        searched = []
+
+        def counted(setup, k, tol):
+            searched.append(setup.xs.size)
+            return _search(setup, k, tol)
+
+        monkeypatch.setattr(shooting, "_search", counted)
+        _setup.cache_clear()
+        fine = _setup(model, 20001)
+        for k in (0, 4):
+            searched.clear()
+            got = _polish(fine, k, _search(fine, k + 1, 1e-8), 1e-8)
+            assert searched == [20001]
+            assert got == _search(fine, k, 1e-8)
+
+    def test_polish_stop_rule_keeps_the_width(self):
+        # half-ho's Theta is linear in E, where a step d in sqrt(E) leaves a
+        # remainder of about d^2 / (4 E): from 5 sqrt(width E) off the root
+        # the first step's would be 6.25 widths, so the polish must not stop
+        # on it, and the next step's is far below the width
+        fine = _setup(HO, 20001)
+        width = 1e-10 * HO.energy_scale
+        for k in (0, 5, 11):
+            root = _search(fine, k, 1e-10)
+            got = _polish(fine, k, root + 5.0 * math.sqrt(width * root), 1e-10)
+            assert abs(got - root) <= width
 
 
 def _two_sided_phase(setup, E):
